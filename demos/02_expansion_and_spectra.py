@@ -21,8 +21,9 @@ print("delta =", profile.delta, "witnessed by subset", profile.witness)
 # The subset scan is exponential, so a budget guard refuses sizes that
 # would silently take hours.  Raise the budget only on purpose.
 
-# Second eigenvalues come from a dense Jacobi sweep with a certified error
-# bound: the returned interval is guaranteed to contain the true value.
+# Second eigenvalues come from LAPACK's symmetric eigensolver plus an error
+# radius that accounts for every rounding in its own evaluation: the returned
+# interval is guaranteed to contain the true value.
 pet = graphs.named_graph("petersen")
 report = spectral.spectrum(pet.adjacency())
 print("Petersen eigenvalues:", [round(v, 6) for v in report.eigenvalues[:4]],

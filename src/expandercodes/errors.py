@@ -101,10 +101,6 @@ class SimplificationFailed(ExpanderCodesError):
     """Random graph resampling exhausted its retry budget."""
 
 
-class NoConvergence(ExpanderCodesError):
-    """Iterative eigenvalue sweep did not reach tolerance in budget."""
-
-
 class SolverFailure(ExpanderCodesError):
     """LP/QP machinery failed (budget, unbounded region, repair failure)."""
 

@@ -155,24 +155,16 @@ def enumerate_codewords(m: BitMatrix, max_dim: int = MAX_ENUM_DIM) -> np.ndarray
     return (msgs.astype(np.int64) @ gen.astype(np.int64) % 2).astype(np.uint8)
 
 
-def min_distance_exhaustive(
-    m: BitMatrix,
-    index_range: tuple[int, int] | None = None,
-    max_dim: int = MAX_ENUM_DIM,
-) -> int:
+def min_distance_exhaustive(m: BitMatrix, max_dim: int = MAX_ENUM_DIM) -> int:
     """Minimum Hamming weight over all nonzero codewords of {x : m x = 0}.
 
     Args:
         m: parity-check matrix.
-        index_range: optional (start, stop) over message indices in
-            [1, 2^k), letting callers split the enumeration deterministically
-            across workers.  Default scans everything.
         max_dim: guard on the code dimension k.
 
     Raises:
         DimensionTooLarge: k exceeds the guard.
-        ValueError: the code has no nonzero codeword (k = 0), or an empty
-            index range was given.
+        ValueError: the code has no nonzero codeword (k = 0).
     """
     basis = nullspace_basis(m)
     k = len(basis)
@@ -180,15 +172,11 @@ def min_distance_exhaustive(
         raise DimensionTooLarge(f"minimum distance needs 2^{k} words, guard is 2^{max_dim}")
     if k == 0:
         raise ValueError("zero-dimensional code has no nonzero codewords")
-    lo, hi = (1, 1 << k) if index_range is None else index_range
-    lo = max(lo, 1)
-    if not (lo < hi <= (1 << k)):
-        raise ValueError(f"bad index range ({lo}, {hi}) for k={k}")
     gen = np.array(basis, dtype=np.int64)
     best = m.cols + 1
     block = 1 << 16
-    for start in range(lo, hi, block):
-        stop = min(start + block, hi)
+    for start in range(1, 1 << k, block):
+        stop = min(start + block, 1 << k)
         words = _message_block(start, stop, k).astype(np.int64) @ gen % 2
         w = int(words.sum(axis=1).min())
         if w < best:

@@ -41,9 +41,10 @@ MAX_AWGN_VARS = 64
 MAX_STOP_SIMPLE = 22
 MAX_STOP_GENERAL = 16
 # Dense parity cones explode in basis count long before they finish, and
-# each exact pivot costs milliseconds; the default is a fail-fast ceiling
-# tuned so a guarded failure surfaces in seconds, not minutes.  Cycle-code
-# and small-subcode cones enumerate within a few hundred bases.
+# each exact pivot costs milliseconds.  The default is a ceiling, not a fast
+# failure: on (3,6) all-parity graphs of 16 variables the guard trips only
+# after about a minute of exact pivots.  Cycle-code and small-subcode cones
+# enumerate within a few hundred bases.
 AWGN_BASIS_BUDGET = 5_000
 
 
@@ -231,61 +232,22 @@ def awgn_weight(q):
 
 @dataclass(frozen=True)
 class _ConeSystem:
-    """LP variable layout for the fundamental cone of a graph.
+    """LP variable layout for the fundamental cone restricted to a subset.
 
-    Variables: q_0..q_{n-1}, then one multiplier per (check, nonzero local
-    codeword) for each subcode check.  Simple checks contribute sibling-sum
-    inequalities; subcode checks contribute exact coupling equalities.
+    Variables: one per subset coordinate (in sorted order), then one
+    multiplier per (check, admitted nonzero local codeword) for each subcode
+    check.  Simple checks contribute sibling-sum inequalities; subcode checks
+    contribute exact coupling equalities.
     """
 
-    n_vars: int
+    subset: tuple[int, ...]
     total_vars: int
     rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
     multiplier_slices: tuple[tuple[int, int], ...]  # per check (start, stop)
 
-
-def cone_system(g) -> _ConeSystem:
-    n = g.n_vars
-    rows = []
-    offsets = []
-    cursor = n
-    for c in range(g.n_checks):
-        label = g.labels[c]
-        if label is None:
-            offsets.append((cursor, cursor))
-        else:
-            k = label.nonzero_codewords().shape[0]
-            offsets.append((cursor, cursor + k))
-            cursor += k
-    total = cursor
-
-    def wide(coeffs_n, extra=()):
-        row = list(coeffs_n) + [F0] * (total - n)
-        for pos, val in extra:
-            row[pos] = val
-        return tuple(row)
-
-    for c in range(g.n_checks):
-        idx = g.check_vars(c)
-        label = g.labels[c]
-        if label is None:
-            for i in idx:
-                coeffs = [F0] * n
-                for j in idx:
-                    coeffs[j] -= F1
-                coeffs[i] += 2 * F1
-                rows.append((wide(coeffs), "<=", F0))
-        else:
-            words = label.nonzero_codewords()
-            start, stop = offsets[c]
-            for j, var in enumerate(idx):
-                coeffs = [F0] * n
-                coeffs[var] = F1
-                extra = [(start + w, -Fraction(int(words[w, j])))
-                         for w in range(stop - start)]
-                rows.append((wide(coeffs, extra), "==", F0))
-    return _ConeSystem(n_vars=n, total_vars=total, rows=tuple(rows),
-                       multiplier_slices=tuple(offsets))
+    @property
+    def n_vars(self) -> int:
+        return len(self.subset)
 
 
 def _polytope_scale(system: _ConeSystem, point: tuple[Fraction, ...]) -> Fraction:
@@ -325,14 +287,13 @@ def peel_to_max_stopping_subset(g, subset=None) -> frozenset:
     return frozenset(s)
 
 
-def _within_system(g, subset):
+def _within_system(g, subset) -> _ConeSystem:
     """Cone rows restricted to points supported inside `subset`.
 
     Off-subset coordinates are identically zero, so only checks touching the
     subset matter, and a subcode check admits only local codewords vanishing
-    on its off-subset sockets.  Returns (total columns, rows, ordered subset,
-    per-check multiplier column ranges); columns 0..len(subset)-1 are the
-    subset coordinates in sorted order.
+    on its off-subset sockets.  With every variable in the subset this is the
+    full fundamental cone.
     """
     subset = sorted(set(subset))
     pos = {v: i for i, v in enumerate(subset)}
@@ -373,27 +334,22 @@ def _within_system(g, subset):
                 for t, w in enumerate(compatible):
                     coeffs[start + t] = -Fraction(int(words[w, j]))
                 rows.append((tuple(coeffs), "==", F0))
-    slices = tuple(rng for _, _, _, _, rng in specs)
-    return total, rows, subset, slices
+    return _ConeSystem(subset=tuple(subset), total_vars=total, rows=tuple(rows),
+                       multiplier_slices=tuple(rng for _, _, _, _, rng in specs))
 
 
 def _within_witness(g, subset, extra_rows, certificate) -> Pseudocodeword | None:
-    total, rows, subset, slices = _within_system(g, subset)
-    k = len(subset)
+    system = _within_system(g, subset)
+    total, k = system.total_vars, system.n_vars
+    rows = list(system.rows)
     for coeffs, sense, rhs in extra_rows(total, k):
         rows.append((tuple(coeffs), sense, rhs))
     res = lp_solve(lp(total, [F0] * total, rows))
     if res.status != "optimal":
         return None
-    scale = max((v for v in res.x[:k]), default=F0)
-    for start, stop in slices:
-        s = sum(res.x[start:stop])
-        if s > scale:
-            scale = s
-    if scale <= 1:
-        scale = F1
+    scale = _polytope_scale(system, res.x)
     values = [F0] * g.n_vars
-    for i, v in enumerate(subset):
+    for i, v in enumerate(system.subset):
         values[v] = res.x[i] / scale
     return Pseudocodeword(values=tuple(values), certificate=certificate)
 
@@ -572,7 +528,7 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
     if smin is None:
         return None
     cap = len(smin.support)
-    system = cone_system(g)
+    system = _within_system(g, range(g.n_vars))
     total = system.total_vars
     for e in range(1, cap + 1):
         best_gap = None
@@ -622,7 +578,7 @@ def min_awgn_pseudoweight(g, basis_budget: int = AWGN_BASIS_BUDGET
     """
     if g.n_vars > MAX_AWGN_VARS:
         raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the guard ({MAX_AWGN_VARS})")
-    system = cone_system(g)
+    system = _within_system(g, range(g.n_vars))
     n, total = system.n_vars, system.total_vars
     rows = list(system.rows)
     norm = [F0] * total

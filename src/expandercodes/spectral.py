@@ -1,26 +1,34 @@
-"""Symmetric eigenvalue computation by cyclic Jacobi sweeps.
+"""Symmetric eigenvalue computation with a certified error radius.
 
-Self-contained and deterministic: the same matrix always produces the same
-report.  Eigenvalues are ordered by decreasing absolute value (ties: the more
-positive value first), which is the ordering the spectral bounds consume.
-The report carries a certified error bound derived from the final off-diagonal
-mass, so downstream exact-rational comparisons can use a sound upper estimate
-of the second eigenvalue.
+Eigenpairs come from LAPACK (`numpy.linalg.eigh`); the error radius is an
+a-posteriori enclosure that accounts for every rounding in its own
+evaluation, so downstream exact-rational comparisons can use a sound upper
+estimate of the second eigenvalue.  Eigenvalues are ordered by decreasing
+absolute value (ties: the more positive value first), which is the ordering
+the spectral bounds consume.
+
+The enclosure.  With (w, V) from eigh, let e bound ||V^T A V - diag(w)||_F
+and delta bound ||V^T V - I||_F.  Weyl's inequality on V^T A V = diag(w) + E
+places the k-th eigenvalue of V^T A V within e of w_k, and Ostrowski's
+theorem gives lambda_k(V^T A V) = theta_k lambda_k(A) with theta_k in
+[1 - delta, 1 + delta].  Hence every |lambda_k(A) - w_k| is at most
+e + (rho + e) delta / (1 - delta), with rho = max |w|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric
+from .errors import DomainError, NotSymmetric, SolverFailure
 
-SWEEP_BUDGET = 200
-CONVERGENCE_REL = 1e-12
 SYMMETRY_REL = 1e-12
-RESIDUAL_REL = 1e-9
+
+_U = Fraction(1, 2**53)  # unit roundoff of float64
+_ETA = Fraction(1, 2**1074)  # smallest subnormal float64
 
 
 @dataclass(frozen=True)
@@ -30,7 +38,7 @@ class SpectrumReport:
     mu1 is the first entry (signed), mu2 the absolute value of the second.
     residuals are ||A v - lambda v|| per eigenpair in the same order.
     error_bound is a certified bound on |reported - true| for every
-    eigenvalue, from the terminal off-diagonal Frobenius mass.
+    eigenvalue, from the rounding-aware enclosure in the module docstring.
     """
 
     eigenvalues: tuple[float, ...]
@@ -38,7 +46,6 @@ class SpectrumReport:
     mu2: float
     residuals: tuple[float, ...]
     error_bound: float
-    sweeps: int
 
     def to_dict(self) -> dict:
         return {
@@ -47,78 +54,105 @@ class SpectrumReport:
             "mu2": self.mu2,
             "residuals": list(self.residuals),
             "error_bound": self.error_bound,
-            "sweeps": self.sweeps,
         }
 
 
-def _offdiag_frobenius(b: np.ndarray) -> float:
-    off = b - np.diag(np.diag(b))
-    return float(np.sqrt((off * off).sum()))
+def _float_up(q: Fraction) -> float:
+    """The least float not below q."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def _sqrt_up(q: Fraction) -> Fraction:
+    """A float upper bound on sqrt(q), as an exact Fraction."""
+    r = math.sqrt(_float_up(q))
+    while Fraction(r) ** 2 < q:
+        r = math.nextafter(r, math.inf)
+    return Fraction(r)
+
+
+def _frobenius_up(x: np.ndarray) -> Fraction:
+    """Upper bound on the exact Frobenius norm of a float array.
+
+    The float sum of squares loses at most a factor (1 - u)^N and N eta / 2
+    to underflow over N entries, in any summation order.
+    """
+    total = float(np.square(x).sum())
+    if not math.isfinite(total):
+        raise SolverFailure("spectrum certificate overflowed")
+    m = x.size
+    return _sqrt_up((Fraction(total) + m * _ETA) / (1 - m * _U))
+
+
+def _residual_bounds(a: np.ndarray, w: np.ndarray, v: np.ndarray
+                     ) -> tuple[Fraction, Fraction]:
+    """Exact upper bounds (e, delta) on ||V^T A V - diag(w)||_F and
+    ||V^T V - I||_F, for the float arrays a, w, v as given.
+
+    Each norm is the float norm of the computed residual plus the a-priori
+    rounding bound of its products, gamma_k |V|^T |A| |V| with k = 2n and
+    gamma_k |V|^T |V| with k = n, where gamma_k = k u / (1 - k u) (Higham,
+    Accuracy and Stability, sec. 3.5), plus an entrywise allowance of
+    3 n^2 max(1, max|V|) eta for underflow.
+    """
+    n = a.shape[0]
+    absv = np.abs(v)
+    vmax = Fraction(float(absv.max(initial=0.0)))
+    slack = 3 * n * n * max(Fraction(1), vmax) * _ETA
+    diag = np.diag_indices(n)
+
+    def bound(resid, gram, k):
+        g = k * _U / (1 - k * _U)
+        return (_frobenius_up(resid) / (1 - _U)
+                + g / (1 - g) * (_frobenius_up(gram) + n * slack) + n * slack)
+
+    r = v.T @ (a @ v)
+    r[diag] -= w
+    h = v.T @ v
+    h[diag] -= 1.0
+    e = bound(r, absv.T @ (np.abs(a) @ absv), 2 * n)
+    delta = bound(h, absv.T @ absv, n)
+    return e, delta
 
 
 def spectrum(a) -> SpectrumReport:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations.
+    """Full spectrum of a symmetric matrix via LAPACK eigh, with a certified
+    error radius.
 
     Raises NotSymmetric when max|A - A^T| exceeds 1e-12 relative to the entry
-    scale, and NoConvergence when 200 sweeps do not push the off-diagonal
-    Frobenius mass below 1e-12 * ||A||_F.
+    scale, DomainError on a non-finite entry, and SolverFailure when LAPACK
+    fails or the computed eigenvectors are too far from orthonormal
+    (delta >= 1/2) to certify.
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric("matrix must be square")
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
     n = A.shape[0]
     scale = max(1.0, float(np.abs(A).max(initial=0.0)))
     if float(np.abs(A - A.T).max(initial=0.0)) > SYMMETRY_REL * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     A = (A + A.T) / 2.0
-    norm_f = float(np.sqrt((A * A).sum()))
+    try:
+        vals, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"eigh failed: {exc}") from exc
 
-    B = A.copy()
-    V = np.eye(n)
-    sweeps = 0
-    if n > 1 and norm_f > 0.0:
-        tol = CONVERGENCE_REL * norm_f
-        for sweep in range(1, SWEEP_BUDGET + 1):
-            if _offdiag_frobenius(B) <= tol:
-                break
-            sweeps = sweep
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = B[p, q]
-                    if apq == 0.0:
-                        continue
-                    tau = (B[q, q] - B[p, p]) / (2.0 * apq)
-                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    rp, rq = B[p, :].copy(), B[q, :].copy()
-                    B[p, :] = c * rp - s * rq
-                    B[q, :] = s * rp + c * rq
-                    cp, cq = B[:, p].copy(), B[:, q].copy()
-                    B[:, p] = c * cp - s * cq
-                    B[:, q] = s * cp + c * cq
-                    B[p, q] = B[q, p] = 0.0
-                    vp, vq = V[:, p].copy(), V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
-        else:
-            raise NoConvergence(f"Jacobi did not converge in {SWEEP_BUDGET} sweeps")
+    e, delta = _residual_bounds(A, vals, V)
+    if delta >= Fraction(1, 2):
+        raise SolverFailure(f"eigenvectors too far from orthonormal (delta {float(delta):.3g})")
+    rho = Fraction(float(np.abs(vals).max(initial=0.0)))
+    error_bound = _float_up(e + (rho + e) * delta / (1 - delta))
 
-    off_final = _offdiag_frobenius(B)
-    vals = np.diag(B).copy()
     order = sorted(range(n), key=lambda i: (-abs(vals[i]), -vals[i]))
     eigenvalues = tuple(float(vals[i]) for i in order)
-    residuals = []
-    for i in order:
-        v = V[:, i]
-        residuals.append(float(np.linalg.norm(A @ v - vals[i] * v)))
-    # |lambda_reported - lambda_true| <= ||offdiag||_F (Weyl), plus float slop
-    error_bound = off_final + 64.0 * np.finfo(float).eps * max(1.0, norm_f)
+    norms = np.linalg.norm(A @ V - V * vals, axis=0)
+    residuals = tuple(float(norms[i]) for i in order)
     mu1 = eigenvalues[0] if n > 0 else 0.0
     mu2 = abs(eigenvalues[1]) if n > 1 else 0.0
     return SpectrumReport(eigenvalues=eigenvalues, mu1=mu1, mu2=mu2,
-                          residuals=tuple(residuals), error_bound=error_bound,
-                          sweeps=sweeps)
+                          residuals=residuals, error_bound=error_bound)
 
 
 def hht_spectrum(h) -> SpectrumReport:

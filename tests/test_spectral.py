@@ -1,9 +1,10 @@
-"""Spectrum computation against closed-form eigenvalues and LAPACK.
+"""Spectrum computation against closed-form eigenvalues and exact residuals.
 
 Families with known spectra (complete, cycle, Petersen, complete bipartite,
-cube) pin the Jacobi path to exact values; random symmetric matrices are
-cross-checked against numpy's eigvalsh, which is an independent
-implementation.
+cube) pin the reported values.  Eigenpairs come from LAPACK, so a LAPACK
+comparison is no independent check; the reference for the certified radius
+is the exact-rational test below, which recomputes in Fraction arithmetic the
+two residual norms the enclosure bounds in floating point.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expandercodes import graphs, spectral
-from expandercodes.errors import NotSymmetric
+from expandercodes.errors import DomainError, NotSymmetric
 
 
 def abs_sorted(values):
@@ -61,8 +62,8 @@ def test_cube_spectrum():
 
 
 def test_ordering_ties_positive_first():
-    # Diagonal input skips all rotations, so values stay exact and the
-    # tie rule (equal magnitude: positive first) is observable.
+    # A diagonal input comes back exact, so the tie rule (equal magnitude:
+    # positive first) is observable.
     rep = spectral.spectrum(np.diag([-2.0, 0.0, 2.0, 1.0]))
     assert rep.eigenvalues == (2.0, -2.0, 1.0, 0.0)
 
@@ -76,7 +77,6 @@ def test_residuals_and_error_bound_small():
 def test_trivial_sizes():
     rep = spectral.spectrum(np.zeros((3, 3)))
     assert rep.eigenvalues == (0.0, 0.0, 0.0)
-    assert rep.sweeps == 0
     one = spectral.spectrum([[5.0]])
     assert one.eigenvalues == (5.0,)
     assert one.mu1 == 5.0 and one.mu2 == 0.0
@@ -87,6 +87,13 @@ def test_not_symmetric_rejected():
         spectral.spectrum([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotSymmetric):
         spectral.spectrum(np.zeros((2, 3)))
+
+
+def test_non_finite_rejected():
+    with pytest.raises(DomainError):
+        spectral.spectrum([[float("nan"), 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError):
+        spectral.spectrum([[float("inf"), 0.0], [0.0, 0.0]])
 
 
 def test_determinism():
@@ -163,3 +170,46 @@ def test_spectrum_matches_lapack(n, data):
     oracle = sorted(np.linalg.eigvalsh(a))
     assert sorted(rep.eigenvalues) == pytest.approx(oracle, abs=1e-8)
     assert abs(rep.mu1) == pytest.approx(max(abs(v) for v in oracle), abs=1e-8)
+
+
+def exact(m):
+    return [[Fraction(float(x)) for x in row] for row in np.asarray(m)]
+
+
+def exact_product(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(len(y)))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def exact_frobenius_sq(m, diag):
+    """Exact ||m - diag(diag)||_F^2."""
+    return sum((m[i][j] - (diag[i] if i == j else 0)) ** 2
+               for i in range(len(m)) for j in range(len(m)))
+
+
+@st.composite
+def small_integer_symmetric(draw):
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                            max_size=n * n))
+    m = np.array(entries, dtype=float).reshape(n, n)
+    return np.triu(m) + np.triu(m, 1).T
+
+
+# Complete graphs and Petersen have highly repeated eigenvalues, where the
+# computed eigenvectors of each eigenspace are least orthogonal.
+REPEATED = [graphs.complete(n).adjacency() for n in range(2, 13)] + [
+    graphs.petersen().adjacency()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(REPEATED), small_integer_symmetric()))
+def test_enclosure_covers_exact_residuals(a):
+    a = np.asarray(a, dtype=float)
+    w, v = np.linalg.eigh(a)
+    e, delta = spectral._residual_bounds(a, w, v)
+    V = exact(v)
+    Vt = [list(col) for col in zip(*V)]
+    W = [Fraction(float(x)) for x in w]
+    assert e ** 2 >= exact_frobenius_sq(exact_product(Vt, exact_product(exact(a), V)), W)
+    assert delta ** 2 >= exact_frobenius_sq(exact_product(Vt, V), [1] * len(W))
