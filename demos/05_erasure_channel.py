@@ -2,10 +2,13 @@
 Erasure decoding and where it gets stuck
 ========================================
 
-The peeling decoder fills erased positions from checks that see exactly
-one unknown.  It fails precisely when the erased set contains a nonempty
-stopping set, and that equivalence is checked here by direct enumeration
-before running a frame-error-rate sweep.
+The erasure decoder fills erased positions from each check's cached local
+rule; on plain parity checks that rule is peeling, which fills a position
+when a check sees exactly one unknown.  Rounds after the first revisit only
+the checks next to freshly filled positions.  On an all-parity graph the
+decoder fails precisely when the erased set contains a nonempty stopping
+set, and that equivalence is checked here by direct enumeration before
+running a frame-error-rate sweep.
 """
 
 import numpy as np

@@ -7,6 +7,20 @@ parity checks this is the classic single-unknown rule; for labelled checks
 it recovers everything whenever the local erasure count is below the local
 minimum distance, and often more.
 
+Each local solve is a cached rule.  For a check's parity rows and its local
+erased mask, one reduction gives a dependency mask per determined position
+(its value is the parity of the known bits under the mask) and the
+consistency masks the known bits must satisfy; the rule is computed on first
+use and then looked up.  Rounds follow a frontier: the first visits every
+check, each later one only the checks next to positions filled in the round
+before.  This equals a sweep over every check in every round: a check none
+of whose positions was just filled sees what it saw at its last visit, and
+that visit found no contradiction (it would have raised) and nothing to fill
+(a fill puts the check on the next frontier).  Determinability is monotone
+in the known set, so the fixpoint does not depend on the schedule; the
+argument above shows that the round count and the errors raised do not
+either.
+
 The scan relates decoding failure to graph structure.  On all-parity graphs
 failure is equivalent to the erasure set containing a nonempty stopping set,
 and the scan checks both directions against an independent peeling oracle.
@@ -18,16 +32,19 @@ fail, and the scan counts the gap instead of pretending otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
 from .errors import InvalidKnownBits, LengthMismatch, SearchSpaceTooLarge
-from .gf2 import BitMatrix, nullspace_basis, solve
+from .gf2 import BitMatrix, row_echelon
 from .polytope import has_nonzero_cone_point_within, peel_to_max_stopping_subset
 
 Z_95 = 1.959963984540054
 SCAN_BUDGET = 1 << 20
+# Local rules kept per (parity rows, erased mask); filled on first use.
+RULE_CACHE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,34 +70,38 @@ def _as_erasure_set(g, erased) -> set[int]:
     return out
 
 
-def _local_parity(g, c) -> BitMatrix:
-    label = g.labels[c]
-    if label is not None:
-        return label.h
-    return BitMatrix(np.ones((1, g.check_degree(c)), dtype=np.uint8))
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _local_rule(rows: tuple[int, ...], u: int
+                ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """Decoding rule of one check for the local erased mask u.
 
-
-def _determined_bits(h: BitMatrix, known: dict[int, int], unknown: list[int]
-                     ) -> dict[int, int]:
-    """Locally determined values: unknowns constant across all solutions of
-    the check's system with the known coordinates substituted."""
-    b = np.zeros(h.rows, dtype=np.uint8)
-    for j, val in known.items():
-        if val:
-            b ^= h.bits[:, j]
-    if not unknown:
-        if b.any():
-            raise InvalidKnownBits("known bits violate a fully known check")
-        return {}
-    a = BitMatrix(h.bits[:, unknown])
-    particular = solve(a, b)
-    if particular is None:
-        raise InvalidKnownBits("known bits are inconsistent at a check")
-    free = np.zeros(len(unknown), dtype=np.uint8)
-    for vec in nullspace_basis(a):
-        free |= vec
-    return {unknown[t]: int(particular[t])
-            for t in range(len(unknown)) if not free[t]}
+    rows are the check's parity rows as socket masks.  Returns
+    (determined, consistency): determined lists (t, dep) for every erased
+    socket t whose value is fixed by the known ones, value_t = parity(dep & y)
+    with y the known local bits; the known bits are consistent with the check
+    exactly when parity(mask & y) is even for every consistency mask.  Both
+    come from one reduction of [h[:, U] | I]: a row whose U part reduced to
+    e_t expresses x_t through known bits, and a row whose U part vanished is
+    a parity check on known bits alone.
+    """
+    erased = [t for t in range(u.bit_length()) if (u >> t) & 1]
+    k, r = len(erased), len(rows)
+    a = np.zeros((r, k + r), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        a[i, :k] = [(row >> t) & 1 for t in erased]
+        a[i, k + i] = 1
+    reduced, _ = row_echelon(BitMatrix(a))
+    determined, consistency = [], []
+    for line in reduced:
+        mask = 0
+        for i in np.flatnonzero(line[k:]):
+            mask ^= rows[i]
+        hits = np.flatnonzero(line[:k])
+        if hits.size == 0 and mask:
+            consistency.append(mask)
+        elif hits.size == 1:
+            determined.append((erased[hits[0]], mask & ~u))
+    return tuple(sorted(determined)), tuple(consistency)
 
 
 def decode_bec(g, erased, received=None) -> DecodeResult:
@@ -91,41 +112,52 @@ def decode_bec(g, erased, received=None) -> DecodeResult:
     contradict a check, which means the input was not a codeword pattern.
     """
     unknown = _as_erasure_set(g, erased)
-    word = np.zeros(g.n_vars, dtype=np.uint8)
-    if received is not None:
+    if received is None:
+        bits = [0] * g.n_vars
+    else:
         rec = np.asarray(received, dtype=np.uint8) & 1
         if rec.shape != (g.n_vars,):
             raise LengthMismatch("received word length differs from n_vars")
-        word = rec.copy()
-    word[sorted(unknown)] = 0
-    if received is not None and not unknown:
-        # the scan below never runs without unknowns, so validate here
-        if g.to_parity_matrix().mul_vec(word).any():
+        # the rounds below never run without unknowns, so validate here
+        if not unknown and g.to_parity_matrix().mul_vec(rec).any():
             raise InvalidKnownBits("received word violates a check")
+        bits = rec.tolist()
+        for v in unknown:
+            bits[v] = 0
+    rows = g.local_parity_masks()
+    frontier = range(g.n_checks)
     rounds = 0
     while unknown:
         filled = {}
-        for c in range(g.n_checks):
+        for c in frontier:
             idx = g.check_vars(c)
-            unk_local = [t for t, v in enumerate(idx) if v in unknown]
-            h = _local_parity(g, c)
-            known_local = {t: int(word[idx[t]]) for t in range(len(idx))
-                           if idx[t] not in unknown}
-            got = _determined_bits(h, known_local, unk_local)
-            for t, val in got.items():
+            u = y = 0
+            for t, v in enumerate(idx):
+                if v in unknown:
+                    u |= 1 << t
+                elif bits[v]:
+                    y |= 1 << t
+            determined, consistency = _local_rule(rows[c], u)
+            for mask in consistency:
+                if (mask & y).bit_count() & 1:
+                    raise InvalidKnownBits(
+                        "known bits are inconsistent at a check" if u
+                        else "known bits violate a fully known check")
+            for t, dep in determined:
                 v = idx[t]
-                if v in filled and filled[v] != val:
+                val = (dep & y).bit_count() & 1
+                if filled.setdefault(v, val) != val:
                     raise InvalidKnownBits(
                         f"checks disagree on erased position {v}")
-                filled[v] = val
         if not filled:
             break
         for v, val in filled.items():
-            word[v] = val
+            bits[v] = val
             unknown.discard(v)
         rounds += 1
+        frontier = sorted({c for v in filled for c in g.var_checks(v)})
     residual = tuple(sorted(unknown))
-    return DecodeResult(word=None if residual else word,
+    return DecodeResult(word=None if residual else np.array(bits, dtype=np.uint8),
                         residual=residual, rounds=rounds)
 
 
@@ -173,17 +205,18 @@ def failure_equivalence_scan(g, samples: int | None = None, seed: int = 0,
     counted and reported.
     """
     n = g.n_vars
-    patterns: list[frozenset]
     if samples is None:
         if (1 << n) > budget:
             raise SearchSpaceTooLarge(
                 f"2^{n} erasure patterns exceed the budget ({budget}); pass samples=")
-        patterns = [frozenset(b for b in range(n) if (mask >> b) & 1)
-                    for mask in range(1 << n)]
+        total = 1 << n
+        patterns = (frozenset(b for b in range(n) if (mask >> b) & 1)
+                    for mask in range(total))
     else:
         rng = np.random.default_rng([seed, n, samples])
-        patterns = [frozenset(int(i) for i in np.flatnonzero(rng.integers(0, 2, n)))
-                    for _ in range(samples)]
+        total = samples
+        patterns = (frozenset(int(i) for i in np.flatnonzero(rng.integers(0, 2, n)))
+                    for _ in range(samples))
     simple = g.all_simple
     check_vars_list = [g.check_vars(c) for c in range(g.n_checks)]
     stuck_count = 0
@@ -208,7 +241,7 @@ def failure_equivalence_scan(g, samples: int | None = None, seed: int = 0,
             "a supported erasure pattern was decoded; this contradicts the "
             "cone-support obstruction")
     return FailureScanReport(kind="simple" if simple else "generalized",
-                             patterns=len(patterns), decoder_stuck=stuck_count,
+                             patterns=total, decoder_stuck=stuck_count,
                              structural=structural,
                              stuck_without_structure=stuck_no_struct,
                              structure_without_stuck=struct_no_stuck)

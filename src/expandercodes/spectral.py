@@ -4,8 +4,8 @@ Eigenpairs come from LAPACK (`numpy.linalg.eigh`); the error radius is an
 a-posteriori enclosure that accounts for every rounding in its own
 evaluation, so downstream exact-rational comparisons can use a sound upper
 estimate of the second eigenvalue.  Eigenvalues are ordered by decreasing
-absolute value (ties: the more positive value first), which is the ordering
-the spectral bounds consume.
+absolute value (ties, magnitudes within twice the error radius: positive
+first), which is the ordering the spectral bounds consume.
 
 The enclosure.  With (w, V) from eigh, let e bound ||V^T A V - diag(w)||_F
 and delta bound ||V^T V - I||_F.  Weyl's inequality on V^T A V = diag(w) + E
@@ -33,9 +33,10 @@ _ETA = Fraction(1, 2**1074)  # smallest subnormal float64
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues sorted by |value| descending (ties: positive first).
+    """Eigenvalues sorted by |value| descending (ties, magnitudes within
+    2 * error_bound: positive first).
 
-    mu1 is the first entry (signed), mu2 the absolute value of the second.
+    mu1 is the first entry (signed), mu2 the second-largest |value|.
     residuals are ||A v - lambda v|| per eigenpair in the same order.
     error_bound is a certified bound on |reported - true| for every
     eigenvalue, from the rounding-aware enclosure in the module docstring.
@@ -145,12 +146,22 @@ def spectrum(a) -> SpectrumReport:
     rho = Fraction(float(np.abs(vals).max(initial=0.0)))
     error_bound = _float_up(e + (rho + e) * delta / (1 - delta))
 
-    order = sorted(range(n), key=lambda i: (-abs(vals[i]), -vals[i]))
+    by_size = sorted(range(n), key=lambda i: -abs(vals[i]))
+    # Magnitudes within 2 * error_bound of a group's largest cannot be told
+    # apart, so they count as tied: an exact +/-lambda pair comes out
+    # positive first whatever the rounding.
+    groups: list[list[int]] = []
+    for i in by_size:
+        if groups and abs(vals[groups[-1][0]]) - abs(vals[i]) <= 2 * error_bound:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    order = [i for grp in groups for i in sorted(grp, key=lambda i: vals[i] < 0)]
     eigenvalues = tuple(float(vals[i]) for i in order)
     norms = np.linalg.norm(A @ V - V * vals, axis=0)
     residuals = tuple(float(norms[i]) for i in order)
     mu1 = eigenvalues[0] if n > 0 else 0.0
-    mu2 = abs(eigenvalues[1]) if n > 1 else 0.0
+    mu2 = abs(float(vals[by_size[1]])) if n > 1 else 0.0
     return SpectrumReport(eigenvalues=eigenvalues, mu1=mu1, mu2=mu2,
                           residuals=residuals, error_bound=error_bound)
 

@@ -47,7 +47,8 @@ class TannerGraph:
     """Bipartite constraint graph with socketed edges and per-check labels."""
 
     __slots__ = ("n_vars", "n_checks", "edges", "labels", "provenance",
-                 "_var_edges", "_check_edges", "_parity")
+                 "_var_edges", "_check_edges", "_var_checks", "_check_vars",
+                 "_parity", "_parity_masks")
 
     def __init__(self, n_vars: int, n_checks: int, edges, labels=None,
                  provenance: str = "imported"):
@@ -67,6 +68,7 @@ class TannerGraph:
         self.labels = labels
         self.provenance = provenance
         self._parity = None
+        self._parity_masks = None
         self._index()
         self._validate()
 
@@ -80,6 +82,10 @@ class TannerGraph:
             check_edges[c].append((cs, e))
         self._var_edges = tuple(tuple(e for _, e in sorted(lst)) for lst in var_edges)
         self._check_edges = tuple(tuple(e for _, e in sorted(lst)) for lst in check_edges)
+        self._var_checks = tuple(tuple(self.edges[e][1] for e in lst)
+                                 for lst in self._var_edges)
+        self._check_vars = tuple(tuple(self.edges[e][0] for e in lst)
+                                 for lst in self._check_edges)
 
     def _validate(self):
         seen = set()
@@ -114,11 +120,11 @@ class TannerGraph:
 
     def var_checks(self, v: int) -> tuple[int, ...]:
         """Checks on variable v, in socket order."""
-        return tuple(self.edges[e][1] for e in self._var_edges[v])
+        return self._var_checks[v]
 
     def check_vars(self, c: int) -> tuple[int, ...]:
         """Variables on check c, in socket order."""
-        return tuple(self.edges[e][0] for e in self._check_edges[c])
+        return self._check_vars[c]
 
     @property
     def all_simple(self) -> bool:
@@ -168,6 +174,17 @@ class TannerGraph:
                     rows.append(row)
         self._parity = BitMatrix(np.array(rows, dtype=np.uint8))
         return self._parity
+
+    def local_parity_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Each check's local parity rows as integer masks over its sockets
+        (bit j is socket j): the label's h, or one all-ones row."""
+        if self._parity_masks is None:
+            self._parity_masks = tuple(
+                ((1 << self.check_degree(c)) - 1,) if label is None
+                else tuple(sum(int(b) << j for j, b in enumerate(row))
+                           for row in label.h.bits)
+                for c, label in enumerate(self.labels))
+        return self._parity_masks
 
     def adjacency(self) -> np.ndarray:
         """Symmetric adjacency of the full bipartite graph, variables first."""
@@ -504,5 +521,6 @@ def reduce_cover_codeword(word, base: TannerGraph, lift: TannerGraph | None = No
             continue
         local = [values[i] for i in base.check_vars(c)]
         total = sum(local)
-        assert all(2 * x <= total for x in local), "cloud averages broke a parity check"
+        if not all(2 * x <= total for x in local):
+            raise AssertionError("cloud averages broke a parity check")
     return Pseudocodeword(values=values, certificate=f"cover-degree-{l}")

@@ -9,11 +9,12 @@ import pytest
 
 from expandercodes import bec, graphs, subcodes, tanner
 from expandercodes.errors import (
+    ExpanderCodesError,
     InvalidKnownBits,
     LengthMismatch,
     SearchSpaceTooLarge,
 )
-from expandercodes.gf2 import BitMatrix
+from expandercodes.gf2 import BitMatrix, nullspace_basis, solve
 
 REP3 = subcodes.builtin("rep3")
 HAMMING = subcodes.builtin("hamming74")
@@ -28,6 +29,165 @@ def single_check(label):
     n = label.length
     return tanner.TannerGraph(n, 1, [(j, 0, 0, j) for j in range(n)],
                               labels=[label])
+
+
+# -- reference decoder ------------------------------------------------------------
+#
+# A flooding decoder: every round visits every check and solves its GF(2)
+# system from scratch with gf2.solve and gf2.nullspace_basis.  Slow, but
+# independent of the cached local rules and the frontier schedule of
+# bec.decode_bec.
+
+
+def _reference_local_parity(g, c) -> BitMatrix:
+    label = g.labels[c]
+    if label is not None:
+        return label.h
+    return BitMatrix(np.ones((1, g.check_degree(c)), dtype=np.uint8))
+
+
+def _reference_determined_bits(h, known, unknown):
+    b = np.zeros(h.rows, dtype=np.uint8)
+    for j, val in known.items():
+        if val:
+            b ^= h.bits[:, j]
+    if not unknown:
+        if b.any():
+            raise InvalidKnownBits("known bits violate a fully known check")
+        return {}
+    a = BitMatrix(h.bits[:, unknown])
+    particular = solve(a, b)
+    if particular is None:
+        raise InvalidKnownBits("known bits are inconsistent at a check")
+    free = np.zeros(len(unknown), dtype=np.uint8)
+    for vec in nullspace_basis(a):
+        free |= vec
+    return {unknown[t]: int(particular[t])
+            for t in range(len(unknown)) if not free[t]}
+
+
+def reference_decode(g, erased, received=None):
+    unknown = set(int(v) for v in erased)
+    word = np.zeros(g.n_vars, dtype=np.uint8)
+    if received is not None:
+        word = np.asarray(received, dtype=np.uint8) & 1
+    word[sorted(unknown)] = 0
+    if received is not None and not unknown:
+        if g.to_parity_matrix().mul_vec(word).any():
+            raise InvalidKnownBits("received word violates a check")
+    rounds = 0
+    while unknown:
+        filled = {}
+        for c in range(g.n_checks):
+            idx = g.check_vars(c)
+            unk_local = [t for t, v in enumerate(idx) if v in unknown]
+            known_local = {t: int(word[idx[t]]) for t in range(len(idx))
+                           if idx[t] not in unknown}
+            got = _reference_determined_bits(_reference_local_parity(g, c),
+                                             known_local, unk_local)
+            for t, val in got.items():
+                v = idx[t]
+                if v in filled and filled[v] != val:
+                    raise InvalidKnownBits(
+                        f"checks disagree on erased position {v}")
+                filled[v] = val
+        if not filled:
+            break
+        for v, val in filled.items():
+            word[v] = val
+            unknown.discard(v)
+        rounds += 1
+    residual = tuple(sorted(unknown))
+    return bec.DecodeResult(word=None if residual else word,
+                            residual=residual, rounds=rounds)
+
+
+def _outcome(decode, g, erased, received):
+    try:
+        res = decode(g, erased, received)
+    except ExpanderCodesError as exc:
+        return ("raised", type(exc), str(exc))
+    word = None if res.word is None else tuple(int(b) for b in res.word)
+    return (res.residual, res.rounds, word)
+
+
+def oracle_graphs():
+    sub = subcodes.builtin
+    return [
+        tanner.build_case_a(2, 4, 10, seed=1),
+        tanner.build_case_a(3, 6, 12, seed=2),
+        tanner.build_case_b(2, 4, 8, sub("spc4"), seed=3),
+        tanner.build_case_b(2, 3, 9, sub("rep3"), seed=4),
+        tanner.build_case_b(2, 7, 7, sub("hamming74"), seed=5),
+        tanner.build_case_b(2, 8, 8, sub("exthamming84"), seed=6),
+        tanner.build_case_c(graphs.complete(4), sub("spc3")),
+        tanner.build_case_c(graphs.prism(3), sub("rep3")),
+        tanner.build_case_c(graphs.complete(8), sub("hamming74")),
+        tanner.build_case_c(graphs.complete(9), sub("exthamming84")),
+        tanner.build_case_d(graphs.random_biregular(6, 2, 3, seed=7),
+                            sub("rep2"), sub("spc3")),
+        tanner.build_case_d(graphs.complete_bipartite(7, 2),
+                            sub("spc2"), sub("hamming74")),
+        tanner.build_case_d(graphs.complete_bipartite(8, 2),
+                            sub("rep2"), sub("exthamming84")),
+    ]
+
+
+def test_decode_matches_flooding_reference():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for g in oracle_graphs():
+        basis = nullspace_basis(g.to_parity_matrix())
+        for trial in range(40):
+            word = np.zeros(g.n_vars, dtype=np.uint8)
+            for vec in basis:
+                if rng.integers(2):
+                    word ^= vec
+            if trial % 2:
+                # corrupt some known bits: the decoder must fail exactly as
+                # the reference does, or recover exactly what it recovers
+                word ^= (rng.random(g.n_vars) < 0.1).astype(np.uint8)
+            p = (0.15, 0.35, 0.6)[trial % 3]
+            erased = np.flatnonzero(rng.random(g.n_vars) < p)
+            want = _outcome(reference_decode, g, erased, word)
+            got = _outcome(bec.decode_bec, g, erased, word)
+            assert got == want, (g, erased, word)
+            outcomes.add(want[0] if want[0] == "raised" else bool(want[0]))
+    # the draw reaches decoded, stuck and rejected inputs alike
+    assert outcomes == {"raised", True, False}
+
+
+def test_local_rules_exhaustive_on_builtin_labels():
+    for name in subcodes.catalog():
+        label = subcodes.builtin(name)
+        d = label.length
+        assert d <= 8
+        rows = single_check(label).local_parity_masks()[0]
+        full = (1 << d) - 1
+        words = [sum(int(b) << j for j, b in enumerate(w)) for w in label.codewords]
+        for u in range(1 << d):
+            determined, consistency = bec._local_rule(rows, u)
+            # t is determined iff no codeword inside the erased mask has a 1 at t
+            free = 0
+            for w in words:
+                if w & ~u == 0:
+                    free |= w
+            assert [t for t, _ in determined] == [
+                t for t in range(d) if (u >> t) & 1 and not (free >> t) & 1], (name, u)
+            for w in words:
+                y = w & ~u
+                for t, dep in determined:
+                    assert (dep & y).bit_count() % 2 == (w >> t) & 1
+            # known bits pass every consistency mask iff a codeword has them
+            known = full & ~u
+            restrictions = {w & known for w in words}
+            y = known
+            while True:
+                passes = all((m & y).bit_count() % 2 == 0 for m in consistency)
+                assert passes == (y in restrictions), (name, u, y)
+                if y == 0:
+                    break
+                y = (y - 1) & known
 
 
 def test_decode_nothing_erased():

@@ -68,6 +68,32 @@ def test_ordering_ties_positive_first():
     assert rep.eigenvalues == (2.0, -2.0, 1.0, 0.0)
 
 
+def _bipartite_adjacency(b):
+    a = np.zeros((b.n_left + b.n_right,) * 2)
+    for i, j in b.edges:
+        a[i, b.n_left + j] = a[b.n_left + j, i] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("adjacency, lam", [
+    (graphs.cycle(6).adjacency(), 2.0),
+    (_bipartite_adjacency(graphs.complete_bipartite(2, 3)), math.sqrt(6)),
+    (_bipartite_adjacency(graphs.complete_bipartite(3, 3)), 3.0),
+])
+def test_bipartite_leading_pair_positive_first(adjacency, lam):
+    # A bipartite spectrum has the exact pair +/-lambda on top; the computed
+    # magnitudes differ in the last digits, and the tie rule must not follow
+    # that rounding noise.
+    rng = np.random.default_rng(17)
+    n = adjacency.shape[0]
+    for _ in range(12):
+        p = rng.permutation(n)
+        rep = spectral.spectrum(adjacency[np.ix_(p, p)])
+        assert rep.eigenvalues[0] > 0
+        assert rep.mu1 == pytest.approx(lam, abs=1e-9)
+        assert rep.eigenvalues[1] == pytest.approx(-lam, abs=1e-9)
+
+
 def test_residuals_and_error_bound_small():
     rep = spectral.spectrum(graphs.petersen().adjacency())
     assert all(r < 1e-8 for r in rep.residuals)
