@@ -37,7 +37,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import InvalidKnownBits, LengthMismatch, SearchSpaceTooLarge
+from .errors import DomainError, InvalidKnownBits, LengthMismatch, SearchSpaceTooLarge
 from .gf2 import BitMatrix, row_echelon
 from .polytope import has_nonzero_cone_point_within, peel_to_max_stopping_subset
 
@@ -64,7 +64,11 @@ def _as_erasure_set(g, erased) -> set[int]:
         if arr.shape != (g.n_vars,):
             raise LengthMismatch("erasure mask length differs from n_vars")
         return set(int(i) for i in np.flatnonzero(arr))
-    out = set(int(i) for i in arr.reshape(-1)) if arr.size else set()
+    if not arr.size:
+        return set()
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"erasure indices must be integers, got dtype {arr.dtype}")
+    out = set(int(i) for i in arr.reshape(-1))
     if any(i < 0 or i >= g.n_vars for i in out):
         raise LengthMismatch("erasure index out of range")
     return out
@@ -107,9 +111,12 @@ def _local_rule(rows: tuple[int, ...], u: int
 def decode_bec(g, erased, received=None) -> DecodeResult:
     """Iterative erasure decoding to a fixpoint.
 
-    received supplies the known bits (erased positions are ignored); the
-    default is the zero word.  Raises InvalidKnownBits when the known bits
-    contradict a check, which means the input was not a codeword pattern.
+    erased is a boolean mask over the variables or a list of integer
+    positions; non-integer positions raise DomainError rather than being
+    truncated.  received supplies the known bits (erased positions are
+    ignored); the default is the zero word.  Raises InvalidKnownBits when
+    the known bits contradict a check, which means the input was not a
+    codeword pattern.
     """
     unknown = _as_erasure_set(g, erased)
     if received is None:

@@ -102,7 +102,7 @@ class SimplificationFailed(ExpanderCodesError):
 
 
 class SolverFailure(ExpanderCodesError):
-    """LP/QP machinery failed (budget, unbounded region, repair failure)."""
+    """A solver or one of its exact self-checks failed."""
 
 
 class InfeasibleRegion(ExpanderCodesError):

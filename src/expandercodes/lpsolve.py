@@ -1,4 +1,4 @@
-"""Exact rational linear programming, vertex enumeration, and a small QP.
+"""Exact rational linear programming and vertex enumeration.
 
 The simplex code works entirely in fractions.Fraction: results are exact and
 deterministic (Bland's rule, no cycling).  Variables are implicitly
@@ -6,17 +6,13 @@ nonnegative; rows may be <=, >= or ==.
 
 enumerate_vertices walks the basis graph of a bounded polyhedron under a
 lexicographic perturbation, which makes every pivot unique and covers every
-vertex even on degenerate polytopes.  qp_min_norm minimizes the squared
-Euclidean norm by Frank-Wolfe with away steps, using the exact LP solver for
-its linear subproblems.
+vertex even on degenerate polytopes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InfeasibleRegion, SearchSpaceTooLarge, SolverFailure
 
@@ -286,99 +282,3 @@ def enumerate_vertices(prob: LinearProgram, budget: int = 200_000) -> list[tuple
                 r, out = trail.pop()
                 tb.pivot(r, out)
     return sorted(points.keys())
-
-
-# -- quadratic minimization ------------------------------------------------------
-
-# gradient coefficients are rounded to this denominator before the exact LP
-# subproblem; the induced duality-gap error is far below the stop tolerance
-_GRAD_DENOM = 10**12
-
-
-def qp_min_norm(prob: LinearProgram, tol: float = 1e-9,
-                max_iter: int = 20_000) -> tuple[float, np.ndarray]:
-    """Minimize sum(x_i^2) over {x >= 0, rows} via Frank-Wolfe with away steps.
-
-    Stops when the duality gap drops below tol * (1 + value).  The witness is
-    repaired (tiny negatives clipped) and re-checked exactly against every row
-    with 1e-9 slack accounting.  The objective field of prob is ignored.
-
-    Raises InfeasibleRegion on an empty region and SolverFailure when a linear
-    subproblem is unbounded, the iteration budget runs out, or repair fails.
-    """
-    n = prob.n_vars
-    zero_obj = tuple(F0 for _ in range(n))
-    feas = lp_solve(replace(prob, objective=zero_obj))
-    if feas.status == "infeasible":
-        raise InfeasibleRegion("empty feasible region")
-    if feas.status != "optimal":
-        raise SolverFailure("feasibility LP did not return a vertex")
-
-    def as_float(v: tuple[Fraction, ...]) -> np.ndarray:
-        return np.array([float(f) for f in v], dtype=float)
-
-    weights: dict[tuple[Fraction, ...], float] = {feas.x: 1.0}
-    cache: dict[tuple[Fraction, ...], np.ndarray] = {feas.x: as_float(feas.x)}
-    x = cache[feas.x].copy()
-
-    converged = False
-    for _ in range(max_iter):
-        grad = 2.0 * x
-        obj = tuple(Fraction(-g).limit_denominator(_GRAD_DENOM) for g in grad)
-        sub = lp_solve(replace(prob, objective=obj))
-        if sub.status != "optimal":
-            raise SolverFailure(f"linear subproblem returned {sub.status}")
-        s_key = sub.x
-        if s_key not in cache:
-            cache[s_key] = as_float(s_key)
-        s = cache[s_key]
-        value = float(x @ x)
-        fw_gap = float(grad @ (x - s))
-        if fw_gap <= tol * (1.0 + abs(value)):
-            converged = True
-            break
-        a_key = max(weights, key=lambda v: float(grad @ cache[v]))
-        a = cache[a_key]
-        if float(grad @ (x - s)) >= float(grad @ (a - x)):
-            d, gamma_max, mode = s - x, 1.0, "fw"
-        else:
-            alpha = weights[a_key]
-            d, gamma_max, mode = x - a, alpha / (1.0 - alpha) if alpha < 1.0 else 0.0, "away"
-        dd = float(d @ d)
-        if dd <= 0.0 or gamma_max <= 0.0:
-            converged = True  # no direction left: at a vertex optimum
-            break
-        gamma = min(max(-float(x @ d) / dd, 0.0), gamma_max)
-        if gamma <= 0.0:
-            converged = True
-            break
-        if mode == "fw":
-            for k in weights:
-                weights[k] *= (1.0 - gamma)
-            weights[s_key] = weights.get(s_key, 0.0) + gamma
-        else:
-            for k in weights:
-                weights[k] *= (1.0 + gamma)
-            weights[a_key] -= gamma
-        weights = {k: w for k, w in weights.items() if w > 1e-14}
-        x = x + gamma * d
-    if not converged:
-        raise SolverFailure(f"no convergence within {max_iter} iterations")
-
-    # repair and exact feasibility audit
-    x = np.where(np.abs(x) < 1e-12, 0.0, x)
-    if float(x.min(initial=0.0)) < -1e-9:
-        raise SolverFailure("witness repair failed: negative component")
-    x = np.maximum(x, 0.0)
-    xq = [Fraction(v) for v in x]
-    slack = Fraction(1, 10**9)
-    for coeffs, sense, rhs in prob.rows:
-        lhs = sum(c * v for c, v in zip(coeffs, xq))
-        budget = slack * (1 + abs(rhs))
-        if sense == "<=" and lhs > rhs + budget:
-            raise SolverFailure("witness violates a <= row beyond slack")
-        if sense == ">=" and lhs < rhs - budget:
-            raise SolverFailure("witness violates a >= row beyond slack")
-        if sense == "==" and abs(lhs - rhs) > budget:
-            raise SolverFailure("witness violates an == row beyond slack")
-    return float(x @ x), x

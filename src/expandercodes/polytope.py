@@ -1,19 +1,23 @@
 """Fundamental cone/polytope machinery: validation, weights, exact minima.
 
-For graphs whose checks are all plain parity constraints, membership is the
-classic inequality system: entries in [0, 1] and, at every check, each
-incident coordinate at most the sum of the others.  For subcode-labelled
-graphs the exact local condition is membership of the restriction in the
-convex hull of the local codewords; the inequality relaxations (threshold,
-half-set and quarter-set conditions) are necessary only, and both levels are
-available.
+Every local code has one inequality description.  A plain parity check keeps
+its closed form: in the cone, each incident coordinate is at most the sum of
+the others; in the polytope (the parity polytope), the box plus the odd-set
+inequalities, tested through the most violated odd set, found greedily.  A
+subcode label gets the facet rows of its codeword cone, and of its codeword
+hull, from one exact double-description routine; the rows are checked
+against the codewords when built and cached per label.  Cone LPs therefore
+have one variable per code coordinate and nothing else.  For labels, the
+threshold, half-set and quarter-set conditions remain available as a
+cheaper, necessary-only validation level.
 
-Weight minimization is exact: the block-error (flipping-set) weight comes
-from a staged top-set LP search over the cone, and the Gaussian-channel
-weight from maximizing the squared norm over the normalized cone section,
-which is attained at a vertex and therefore solvable by exact vertex
-enumeration.  A float LP prescreen (scipy) only prunes candidates; every
-reported decision is re-established in exact rational arithmetic.
+The block-error (flipping-set) weight minimum comes from a staged top-set LP
+search over the cone, and the Gaussian-channel minimum from maximizing the
+squared norm over the normalized cone section, which is attained at a vertex
+and therefore found by exact vertex enumeration.  Reported values and
+witnesses come from exact rational LPs, but a float LP prescreen (scipy)
+drops top-set candidates on float evidence alone, and those drops are not
+re-proved in exact arithmetic yet.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 from scipy.optimize import linprog
@@ -34,7 +39,7 @@ from .errors import (
     ZeroVector,
     DegreeTooLarge,
 )
-from .lpsolve import F0, F1, LinearProgram, lp, lp_solve, enumerate_vertices
+from .lpsolve import F0, F1, lp, lp_solve, enumerate_vertices
 
 MAX_BSC_VARS = 14
 MAX_AWGN_VARS = 64
@@ -97,31 +102,160 @@ def _check_length(g, vals) -> None:
         raise LengthMismatch(f"vector length {len(vals)} != n_vars {g.n_vars}")
 
 
+# -- local code descriptions ---------------------------------------------------------
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals, zero rows dropped, and
+    its pivot columns."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != r and f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def _integral(vec) -> tuple[int, ...]:
+    """The primitive integer vector along a nonzero rational vector."""
+    den = lcm(*(Fraction(v).denominator for v in vec))
+    ints = [int(v * den) for v in vec]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _facets(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Inequality description of the cone spanned by integer vectors `gens`.
+
+    Returns (facets, equalities): the cone is {x : a.x >= 0 for each facet
+    row a, e.x = 0 for each equality row e}; the equalities span the
+    orthogonal complement of the generators' span.  On that span the
+    projection to the pivot coordinates is one to one, so the facets are
+    found there by double description: start from the simplicial cone of r
+    independent generators, and let each further generator cut the dual
+    rays, pairing every positive ray with every adjacent negative one
+    (adjacent: no third ray is tight on every generator both are tight on).
+
+    Every row is checked exactly by _check_rows before it is returned, so
+    every row is valid and facet-defining, and the row cone contains the
+    generated cone.
+    """
+    m = len(gens[0])
+    basis, pivots = _rref(gens, m)
+    r = len(pivots)
+    eqs = []
+    for f in range(m):
+        if f not in pivots:
+            e = [F1 if j == f else F0 for j in range(m)]
+            for row, p in zip(basis, pivots):
+                e[p] = -row[f]
+            eqs.append(_integral(e))
+    pts = [tuple(v[p] for p in pivots) for v in gens]
+    chosen = []
+    for i, p in enumerate(pts):
+        if len(chosen) < r and len(_rref([pts[j] for j in chosen] + [p], r)[1]) > len(chosen):
+            chosen.append(i)
+    inv, _ = _rref([list(pts[i]) + [int(t == k) for k in range(r)]
+                    for t, i in enumerate(chosen)], 2 * r)
+    done = sum(1 << i for i in chosen)
+    # dual rays with the mask of processed generators each is tight on
+    rays = [(_integral([inv[i][r + k] for i in range(r)]), done & ~(1 << c))
+            for k, c in enumerate(chosen)]
+    for j, p in enumerate(pts):
+        if done >> j & 1:
+            continue
+        s = [_dot(a, p) for a, _ in rays]
+        new = []
+        for u in (k for k, v in enumerate(s) if v > 0):
+            for w in (k for k, v in enumerate(s) if v < 0):
+                common = rays[u][1] & rays[w][1]
+                if common.bit_count() >= r - 2 and not any(
+                        k != u and k != w and t & common == common
+                        for k, (_, t) in enumerate(rays)):
+                    a = _integral([s[u] * x - s[w] * y
+                                   for x, y in zip(rays[w][0], rays[u][0])])
+                    new.append((a, common | 1 << j))
+        rays = [(a, t | (1 << j if s[k] == 0 else 0))
+                for k, (a, t) in enumerate(rays) if s[k] >= 0] + new
+        done |= 1 << j
+    facets = sorted(tuple(dict(zip(pivots, a)).get(j, 0) for j in range(m)) for a, _ in rays)
+    _check_rows(gens, facets, eqs, r)
+    return tuple(facets), tuple(eqs)
+
+
+def _check_rows(gens, facets, eqs, r: int) -> None:
+    """Raise SolverFailure unless every generator satisfies every row and
+    each facet row is tight on generators of rank r - 1 (facet-defining)."""
+    for row in facets:
+        values = [_dot(row, v) for v in gens]
+        tight = [v for v, x in zip(gens, values) if x == 0]
+        if min(values) < 0 or len(_rref(tight, len(row))[1]) != r - 1:
+            raise SolverFailure(f"facet row {row} failed its exact check")
+    if any(_dot(e, v) for e in eqs for v in gens):
+        raise SolverFailure("equality row failed its exact check")
+
+
+@lru_cache
+def _cone_rows(label, d: int):
+    """(facets, equalities) of the local codeword cone at a check of degree
+    d, as in _facets.  A plain parity check (label None) has the closed form:
+    each coordinate at most the sum of the others."""
+    if label is None:
+        return tuple(tuple(-1 if j == t else 1 for j in range(d)) for t in range(d)), ()
+    return _facets([tuple(int(b) for b in w) for w in label.nonzero_codewords()])
+
+
+@lru_cache
+def _hull_rows(label):
+    """(facets, equalities) of a label's codeword hull: the cone rows of the
+    homogenized codewords (1, w), so a row (b, a) reads b + a.x >= 0
+    (resp. == 0)."""
+    return _facets([(1, *(int(b) for b in w)) for w in label.codewords])
+
+
 # -- validation -------------------------------------------------------------------
 
 
-def validate_simple(g, p) -> ValidationReport:
-    """Membership of p in the polytope of an all-parity graph.
+def _odd_set_failures(c: int, idx, local: list[Fraction]) -> list[str]:
+    """The most violated parity-polytope inequality at a plain check, if any.
 
-    Checks the box constraints and, at each check, every incident coordinate
-    against the sum of its siblings.
+    For every odd subset S of the check, sum_S (1 - x) + sum_rest x >= 1.
+    The left side is least for S = {x > 1/2}, with the cheapest single flip
+    when that set is even.  |S| = 1 is the sibling-sum (cone) inequality.
     """
-    if not g.all_simple:
-        raise SubcodeMissing("graph carries subcode labels; use validate_generalized")
-    vals = _coerce_values(p)
-    _check_length(g, vals)
-    failures = []
-    for i, v in enumerate(vals):
-        if not (0 <= v <= 1):
-            failures.append(f"coordinate {i} = {v} outside [0,1]")
-    for c in range(g.n_checks):
-        idx = g.check_vars(c)
-        total = sum(vals[i] for i in idx)
-        for i in idx:
-            if vals[i] > total - vals[i]:
-                failures.append(f"check {c}: coordinate {i} exceeds sibling sum")
-    return ValidationReport(valid=not failures, level="simple",
-                            failures=tuple(failures))
+    if not local:
+        return []
+    odd = {j for j, v in enumerate(local) if 2 * v > 1}
+    slack = sum(min(v, 1 - v) for v in local) - 1
+    if len(odd) % 2 == 0:
+        flip = min(range(len(local)), key=lambda j: abs(1 - 2 * local[j]))
+        slack += abs(1 - 2 * local[flip])
+        odd ^= {flip}
+    if slack >= 0:
+        return []
+    if len(odd) == 1:
+        return [f"check {c}: coordinate {idx[min(odd)]} exceeds sibling sum"]
+    return [f"check {c}: odd-set inequality fails on {sorted(idx[j] for j in odd)}"]
+
+
+def _outside_hull(label, local: list[Fraction]) -> bool:
+    facets, eqs = _hull_rows(label)
+    return (any(a[0] + _dot(a[1:], local) < 0 for a in facets)
+            or any(e[0] + _dot(e[1:], local) != 0 for e in eqs))
 
 
 def _threshold_failures(c: int, local: list[Fraction], dmin: int) -> list[str]:
@@ -148,51 +282,43 @@ def _threshold_failures(c: int, local: list[Fraction], dmin: int) -> list[str]:
     return fails
 
 
-def _hull_membership(label, local: list[Fraction]) -> bool:
-    """Exact test: local in convex hull of the subcode codewords (zero included)."""
-    words = label.codewords
-    k, d = words.shape
-    rows = []
-    for j in range(d):
-        coeffs = tuple(Fraction(int(words[w, j])) for w in range(k))
-        rows.append((coeffs, "==", local[j]))
-    rows.append((tuple(F1 for _ in range(k)), "==", F1))
-    prob = lp(k, [F0] * k, rows)
-    return lp_solve(prob).status == "optimal"
-
-
-def validate_generalized(g, p, level: str = "exact") -> ValidationReport:
-    """Membership test for subcode-labelled graphs.
-
-    level="necessary": box constraints plus the threshold/half-set/quarter-set
-    inequalities (plain parity checks use the sibling-sum rule).
-    level="exact": additionally requires each local restriction to lie in the
-    convex hull of the local codewords, which is the defining condition.
-    """
-    if level not in ("necessary", "exact"):
-        raise ValueError(f"unknown level {level!r}")
+def _validate(g, p, level: str) -> ValidationReport:
     vals = _coerce_values(p)
     _check_length(g, vals)
-    failures = []
-    for i, v in enumerate(vals):
-        if not (0 <= v <= 1):
-            failures.append(f"coordinate {i} = {v} outside [0,1]")
+    failures = [f"coordinate {i} = {v} outside [0,1]"
+                for i, v in enumerate(vals) if not 0 <= v <= 1]
     for c in range(g.n_checks):
         idx = g.check_vars(c)
         local = [vals[i] for i in idx]
         label = g.labels[c]
         if label is None:
-            total = sum(local)
-            for j, v in enumerate(local):
-                if v > total - v:
-                    failures.append(f"check {c}: coordinate exceeds sibling sum")
-                    break
-        else:
-            failures.extend(_threshold_failures(c, local, label.dmin))
-            if level == "exact" and not _hull_membership(label, local):
-                failures.append(f"check {c}: restriction outside local hull")
-    return ValidationReport(valid=not failures, level=level,
-                            failures=tuple(failures))
+            failures.extend(_odd_set_failures(c, idx, local))
+            continue
+        failures.extend(_threshold_failures(c, local, label.dmin))
+        if level == "exact" and _outside_hull(label, local):
+            failures.append(f"check {c}: restriction outside local hull")
+    return ValidationReport(valid=not failures, level=level, failures=tuple(failures))
+
+
+def validate_simple(g, p) -> ValidationReport:
+    """Membership of p in the polytope of an all-parity graph: the box and,
+    at each check, the parity polytope's odd-set inequalities."""
+    if not g.all_simple:
+        raise SubcodeMissing("graph carries subcode labels; use validate_generalized")
+    return _validate(g, p, "simple")
+
+
+def validate_generalized(g, p, level: str = "exact") -> ValidationReport:
+    """Membership test for subcode-labelled graphs.
+
+    Plain parity checks are always tested exactly (odd-set inequalities).
+    At labelled checks, level="necessary" applies the threshold, half-set
+    and quarter-set inequalities; level="exact" also evaluates the label's
+    hull rows, which is the defining condition.
+    """
+    if level not in ("necessary", "exact"):
+        raise ValueError(f"unknown level {level!r}")
+    return _validate(g, p, level)
 
 
 # -- weights ----------------------------------------------------------------------
@@ -232,34 +358,19 @@ def awgn_weight(q):
 
 @dataclass(frozen=True)
 class _ConeSystem:
-    """LP variable layout for the fundamental cone restricted to a subset.
+    """The fundamental cone restricted to points supported inside `subset`.
 
-    Variables: one per subset coordinate (in sorted order), then one
-    multiplier per (check, admitted nonzero local codeword) for each subcode
-    check.  Simple checks contribute sibling-sum inequalities; subcode checks
-    contribute exact coupling equalities.
+    LP rows over the subset's coordinates only, one variable per coordinate
+    in sorted order: each touched check contributes its local cone rows with
+    the off-subset coordinates set to zero.
     """
 
     subset: tuple[int, ...]
-    total_vars: int
     rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    multiplier_slices: tuple[tuple[int, int], ...]  # per check (start, stop)
 
     @property
     def n_vars(self) -> int:
         return len(self.subset)
-
-
-def _polytope_scale(system: _ConeSystem, point: tuple[Fraction, ...]) -> Fraction:
-    """Scale factor putting a cone point inside the polytope: divide by the
-    largest local multiplier sum (and by max q for plain-parity graphs)."""
-    worst = max((v for v in point[: system.n_vars]), default=F0)
-    for start, stop in system.multiplier_slices:
-        if stop > start:
-            s = sum(point[start:stop])
-            if s > worst:
-                worst = s
-    return worst if worst > 1 else F1
 
 
 # -- stopping sets ------------------------------------------------------------------
@@ -291,84 +402,61 @@ def _within_system(g, subset) -> _ConeSystem:
     """Cone rows restricted to points supported inside `subset`.
 
     Off-subset coordinates are identically zero, so only checks touching the
-    subset matter, and a subcode check admits only local codewords vanishing
-    on its off-subset sockets.  With every variable in the subset this is the
-    full fundamental cone.
+    subset matter, and each local row keeps its member coefficients.  Setting
+    coordinates to zero in a local cone's rows gives exactly the cone of the
+    local codewords vanishing there, because codewords are nonnegative.
+    Rows with no positive coefficient in "<=" form are implied by x >= 0 and
+    dropped.  With every variable in the subset this is the full cone.
     """
     subset = sorted(set(subset))
     pos = {v: i for i, v in enumerate(subset)}
-    k = len(subset)
-    specs = []
-    cursor = k
+    rows = []
     for c in range(g.n_checks):
         idx = g.check_vars(c)
-        members = [j for j, v in enumerate(idx) if v in pos]
+        members = [(j, pos[v]) for j, v in enumerate(idx) if v in pos]
         if not members:
             continue
-        label = g.labels[c]
-        if label is None:
-            specs.append((c, idx, members, None, (cursor, cursor)))
-            continue
-        words = label.nonzero_codewords()
-        outside = [j for j in range(len(idx)) if j not in set(members)]
-        compatible = [w for w in range(words.shape[0])
-                      if not any(words[w, j] for j in outside)]
-        specs.append((c, idx, members, (words, compatible),
-                      (cursor, cursor + len(compatible))))
-        cursor += len(compatible)
-    total = cursor
-    rows = []
-    for c, idx, members, local, (start, stop) in specs:
-        if local is None:
-            for j in members:
-                coeffs = [F0] * total
-                for j2 in members:
-                    coeffs[pos[idx[j2]]] -= F1
-                coeffs[pos[idx[j]]] += 2 * F1
-                rows.append((tuple(coeffs), "<=", F0))
-        else:
-            words, compatible = local
-            for j in members:
-                coeffs = [F0] * total
-                coeffs[pos[idx[j]]] = F1
-                for t, w in enumerate(compatible):
-                    coeffs[start + t] = -Fraction(int(words[w, j]))
-                rows.append((tuple(coeffs), "==", F0))
-    return _ConeSystem(subset=tuple(subset), total_vars=total, rows=tuple(rows),
-                       multiplier_slices=tuple(rng for _, _, _, _, rng in specs))
+        facets, eqs = _cone_rows(g.labels[c], len(idx))
+        local = {}
+        for table, sense, sign in ((facets, "<=", -1), (eqs, "==", 1)):
+            for a in table:
+                coeffs = [F0] * len(subset)
+                for j, i in members:
+                    coeffs[i] = Fraction(sign * a[j])
+                if any(v > 0 for v in coeffs) or (sense == "==" and any(coeffs)):
+                    local[(tuple(coeffs), sense, F0)] = None
+        rows.extend(local)
+    return _ConeSystem(subset=tuple(subset), rows=tuple(rows))
 
 
 def _within_witness(g, subset, extra_rows, certificate) -> Pseudocodeword | None:
+    """Feasible point of the restricted cone plus `extra_rows`, divided by
+    its coordinate sum.  A cone point of mass 1 lies in the polytope: at
+    every check it is sum_w lambda_w w with sum_w lambda_w <= sum_w
+    lambda_w |w| <= 1, and the zero word takes the rest."""
     system = _within_system(g, subset)
-    total, k = system.total_vars, system.n_vars
-    rows = list(system.rows)
-    for coeffs, sense, rhs in extra_rows(total, k):
-        rows.append((tuple(coeffs), sense, rhs))
-    res = lp_solve(lp(total, [F0] * total, rows))
+    k = system.n_vars
+    res = lp_solve(lp(k, [F0] * k, list(system.rows) + extra_rows))
     if res.status != "optimal":
         return None
-    scale = _polytope_scale(system, res.x)
+    mass = sum(res.x)
     values = [F0] * g.n_vars
     for i, v in enumerate(system.subset):
-        values[v] = res.x[i] / scale
+        values[v] = res.x[i] / mass
     return Pseudocodeword(values=tuple(values), certificate=certificate)
 
 
 def cone_point_with_support(g, support) -> Pseudocodeword | None:
-    """A cone point whose support is exactly `support`, or None.
+    """A polytope point whose support is exactly `support`, or None.
 
-    Feasibility LP on the induced subgraph with every support coordinate at
-    least 1; the witness is rescaled into the polytope.
+    Feasibility LP on the cone restricted to the support with every support
+    coordinate at least 1; the witness is that point divided by its
+    coordinate sum.
     """
     support = sorted(set(support))
-
-    def extra(total, k):
-        for i in range(k):
-            unit = [F0] * total
-            unit[i] = F1
-            yield unit, ">=", F1
-
-    return _within_witness(g, support, extra,
+    k = len(support)
+    units = [([F1 if j == i else F0 for j in range(k)], ">=", F1) for i in range(k)]
+    return _within_witness(g, support, units,
                            f"support-forced:{','.join(map(str, support))}")
 
 
@@ -376,14 +464,8 @@ def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
     """A nonzero cone point supported inside `subset`, or None."""
     if not subset:
         return None
-
-    def extra(total, k):
-        mass = [F0] * total
-        for i in range(k):
-            mass[i] = F1
-        yield mass, "==", F1
-
-    return _within_witness(g, subset, extra, "subset-supported")
+    mass = ([F1] * len(set(subset)), "==", F1)
+    return _within_witness(g, subset, [mass], "subset-supported")
 
 
 def min_stopping_set(g, kind: str | None = None) -> StoppingSet | None:
@@ -462,7 +544,7 @@ def min_stopping_set(g, kind: str | None = None) -> StoppingSet | None:
 # -- exact block-error weight minimum -----------------------------------------------
 
 
-def _float_arrays(total: int, rows) -> tuple:
+def _float_arrays(rows) -> tuple:
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, sense, rhs in rows:
         fc = [float(v) for v in coeffs]
@@ -481,17 +563,14 @@ def _float_arrays(total: int, rows) -> tuple:
 
 def _stage_rows(system: _ConeSystem, top: tuple[int, ...]):
     """Rows for one top-set subproblem: cone, normalization, ordering."""
-    n, total = system.n_vars, system.total_vars
+    n = system.n_vars
     rows = list(system.rows)
-    norm = [F0] * total
-    for i in range(n):
-        norm[i] = F1
-    rows.append((tuple(norm), "==", F1))
+    rows.append((tuple([F1] * n), "==", F1))
     inside = set(top)
     for i in top:
         for j in range(n):
             if j not in inside:
-                coeffs = [F0] * total
+                coeffs = [F0] * n
                 coeffs[i] = -F1
                 coeffs[j] = F1
                 rows.append((tuple(coeffs), "<=", F0))  # q_j <= q_i
@@ -499,12 +578,8 @@ def _stage_rows(system: _ConeSystem, top: tuple[int, ...]):
 
 
 def _gap_objective(system: _ConeSystem, top: tuple[int, ...]) -> list[Fraction]:
-    n, total = system.n_vars, system.total_vars
-    obj = [F0] * total
     inside = set(top)
-    for i in range(n):
-        obj[i] = F1 if i in inside else -F1
-    return obj
+    return [F1 if i in inside else -F1 for i in range(system.n_vars)]
 
 
 def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
@@ -529,13 +604,12 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
         return None
     cap = len(smin.support)
     system = _within_system(g, range(g.n_vars))
-    total = system.total_vars
     for e in range(1, cap + 1):
         best_gap = None
         best_witness = None
         for top in itertools.combinations(active, e):
             rows = _stage_rows(system, top)
-            a_ub, b_ub, a_eq, b_eq = _float_arrays(total, rows)
+            a_ub, b_ub, a_eq, b_eq = _float_arrays(rows)
             c = np.array([-float(v) for v in _gap_objective(system, top)])
             screen = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                              bounds=(0, None), method="highs")
@@ -543,7 +617,7 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
                 continue
             if screen.status == 0 and -screen.fun < -1e-6:
                 continue  # safely negative gap
-            res = lp_solve(lp(total, _gap_objective(system, top), rows))
+            res = lp_solve(lp(system.n_vars, _gap_objective(system, top), rows))
             if res.status != "optimal":
                 continue
             if res.value is not None and res.value >= 0:
@@ -556,9 +630,8 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
                     break
         if best_gap is not None:
             weight = 2 * e - 1 if best_gap > 0 else 2 * e
-            scale = _polytope_scale(system, best_witness)
-            values = tuple(v / scale for v in best_witness[: system.n_vars])
-            pc = Pseudocodeword(values=values, certificate=f"top-set-stage-{e}")
+            # mass 1 already: a polytope point (see _within_witness)
+            pc = Pseudocodeword(values=best_witness, certificate=f"top-set-stage-{e}")
             return weight, pc
     raise SolverFailure("staged search passed the stopping-set cap without success")
 
@@ -579,13 +652,8 @@ def min_awgn_pseudoweight(g, basis_budget: int = AWGN_BASIS_BUDGET
     if g.n_vars > MAX_AWGN_VARS:
         raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the guard ({MAX_AWGN_VARS})")
     system = _within_system(g, range(g.n_vars))
-    n, total = system.n_vars, system.total_vars
-    rows = list(system.rows)
-    norm = [F0] * total
-    for i in range(n):
-        norm[i] = F1
-    rows.append((tuple(norm), "==", F1))
-    prob = lp(total, [F0] * total, rows)
+    n = system.n_vars
+    prob = lp(n, [F0] * n, list(system.rows) + [([F1] * n, "==", F1)])
     feas = lp_solve(prob)
     if feas.status != "optimal":
         return None
@@ -593,16 +661,14 @@ def min_awgn_pseudoweight(g, basis_budget: int = AWGN_BASIS_BUDGET
     best_ss = F0
     best_point = None
     for v in vertices:
-        ss = sum(q * q for q in v[:n])
+        ss = sum(q * q for q in v)
         if ss > best_ss or (ss == best_ss and best_point is not None and v < best_point):
             best_ss = ss
             best_point = v
     if best_point is None or best_ss == 0:
         return None
-    weight = F1 / best_ss
-    scale = _polytope_scale(system, best_point)
-    values = tuple(q / scale for q in best_point[:n])
-    return weight, Pseudocodeword(values=values, certificate="norm-max-vertex")
+    # mass 1 already: a polytope point (see _within_witness)
+    return F1 / best_ss, Pseudocodeword(values=best_point, certificate="norm-max-vertex")
 
 
 # -- cover realizability --------------------------------------------------------------

@@ -440,17 +440,6 @@ def test_simplex_agrees_with_vertex_enumeration():
     assert statuses["infeasible"] >= 30
 
 
-def test_min_norm_on_simplices():
-    from expandercodes import lpsolve
-
-    for n in range(2, 11):
-        prob = lpsolve.lp(n, [F(0)] * n,
-                          [([F(1)] * n, "==", F(1))])
-        value, x = lpsolve.qp_min_norm(prob)
-        assert abs(value - 1 / n) <= 1e-8
-        assert abs(float(sum(x)) - 1.0) <= 1e-7
-
-
 # -- 8: reports are byte-for-byte reproducible ----------------------------------------------
 
 

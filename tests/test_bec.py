@@ -9,6 +9,7 @@ import pytest
 
 from expandercodes import bec, graphs, subcodes, tanner
 from expandercodes.errors import (
+    DomainError,
     ExpanderCodesError,
     InvalidKnownBits,
     LengthMismatch,
@@ -254,6 +255,20 @@ def test_decode_accepts_boolean_masks():
     res = bec.decode_bec(g, np.array([True, False, False]),
                          received=[0, 1, 1])
     assert not res.stuck
+
+
+def test_decode_refuses_non_integer_positions():
+    g = tanner.build_case_a(2, 4, 8, seed=0)
+    for erased in ([1.7, 2.2], [1.0, 2.0], np.array([0.5]), ["1"]):
+        with pytest.raises(DomainError):
+            bec.decode_bec(g, erased)
+    # the accepted spellings of one pattern agree, the empty list included
+    mask = np.zeros(g.n_vars, dtype=bool)
+    mask[[1, 2]] = True
+    want = bec.decode_bec(g, [1, 2])
+    for erased in (mask, np.array([2, 1], dtype=np.uint8), (1, 2)):
+        assert bec.decode_bec(g, erased).residual == want.residual
+    assert not bec.decode_bec(g, []).stuck
 
 
 def test_decode_erasure_monotone():

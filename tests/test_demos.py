@@ -1,0 +1,25 @@
+"""The narrative demos run to completion against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

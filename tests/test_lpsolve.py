@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expandercodes.errors import InfeasibleRegion, SearchSpaceTooLarge
-from expandercodes.lpsolve import enumerate_vertices, lp, lp_solve, qp_min_norm
+from expandercodes.errors import SearchSpaceTooLarge
+from expandercodes.lpsolve import enumerate_vertices, lp, lp_solve
 
 F = Fraction
 
@@ -153,38 +153,6 @@ def test_enumerate_vertices_budget():
     prob = lp(8, [0] * 8, rows)
     with pytest.raises(SearchSpaceTooLarge):
         enumerate_vertices(prob, budget=10)
-
-
-def test_qp_min_norm_simplex_closed_form():
-    for n in range(2, 8):
-        prob = lp(n, [0] * n, [([1] * n, "==", 1)])
-        val, x = qp_min_norm(prob)
-        assert abs(val - 1 / n) < 1e-8
-        assert np.allclose(x, 1 / n, atol=1e-4)
-
-
-def test_qp_min_norm_with_pinned_coordinate():
-    # x1 = 0 leaves the mass on two coordinates: min is 1/2
-    prob = lp(3, [0, 0, 0], [([1, 1, 1], "==", 1), ([1, 0, 0], "==", 0)])
-    val, _x = qp_min_norm(prob)
-    assert abs(val - 0.5) < 1e-8
-
-
-def test_qp_min_norm_shifted_box():
-    # box [1,2]^3: nearest point to the origin is the lower corner
-    rows = []
-    for i in range(3):
-        unit = [1 if j == i else 0 for j in range(3)]
-        rows.append((unit, ">=", 1))
-        rows.append((unit, "<=", 2))
-    val, x = qp_min_norm(lp(3, [0, 0, 0], rows))
-    assert abs(val - 3.0) < 1e-6
-    assert np.allclose(x, 1.0, atol=1e-4)
-
-
-def test_qp_min_norm_infeasible():
-    with pytest.raises(InfeasibleRegion):
-        qp_min_norm(lp(1, [0], [([1], ">=", 2), ([1], "<=", 1)]))
 
 
 def test_lp_validation_errors():

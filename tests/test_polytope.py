@@ -3,8 +3,10 @@
 Oracles: stopping sets are recounted with plain set arithmetic; the
 generalized support search is cross-checked by a scipy float LP built from
 the raw definition (all local codewords, zero-forced off-support
-coordinates); weight minima are pinned on cycle codes where every value is
-known in closed form.
+coordinates); the local row descriptions are checked against the exact
+multiplier layout and a hull LP over the codewords, and plain-check
+membership against every odd-set inequality; weight minima are pinned on
+cycle codes where every value is known in closed form.
 """
 
 import itertools
@@ -21,10 +23,12 @@ from expandercodes.errors import (
     DegreeTooLarge,
     LengthMismatch,
     SearchSpaceTooLarge,
+    SolverFailure,
     SubcodeMissing,
     ZeroVector,
 )
 from expandercodes.gf2 import BitMatrix, code_params
+from expandercodes.lpsolve import lp, lp_solve
 
 F = Fraction
 SPC3 = subcodes.builtin("spc3")
@@ -465,6 +469,227 @@ def test_every_minimal_stopping_set_supports_a_cone_point():
                 minimal.append(frozenset(s))
         for s in minimal:
             assert polytope.cone_point_with_support(g, tuple(s)) is not None
+
+
+# -- local row descriptions -------------------------------------------------------------
+
+SMALL_LABELS = [label for label in map(subcodes.builtin, subcodes.catalog())
+                if label.length <= 7]
+
+
+def plain_check(d):
+    return tanner.from_parity_matrix(BitMatrix(np.ones((1, d), dtype=np.uint8)))
+
+
+def validate(g, p):
+    if g.all_simple:
+        return polytope.validate_simple(g, p)
+    return polytope.validate_generalized(g, p, level="exact")
+
+
+def multiplier_system(g, subset):
+    """The cone over points supported inside `subset` in the multiplier
+    layout, kept as an independent reference for the row descriptions.
+
+    Variables: one per subset coordinate (sorted), then one multiplier per
+    (labelled check, nonzero local codeword vanishing off the subset).
+    Plain checks give sibling-sum rows; labelled checks give the coupling
+    equalities x_j = sum_w lambda_w w_j.  Returns (total variables, rows).
+    """
+    subset = sorted(set(subset))
+    pos = {v: i for i, v in enumerate(subset)}
+    specs = []
+    cursor = len(subset)
+    for c in range(g.n_checks):
+        idx = g.check_vars(c)
+        members = [j for j, v in enumerate(idx) if v in pos]
+        if not members:
+            continue
+        label = g.labels[c]
+        if label is None:
+            specs.append((idx, members, None, cursor))
+            continue
+        words = label.nonzero_codewords()
+        outside = [j for j in range(len(idx)) if j not in members]
+        compatible = [w for w in words if not any(w[j] for j in outside)]
+        specs.append((idx, members, compatible, cursor))
+        cursor += len(compatible)
+    rows = []
+    for idx, members, compatible, start in specs:
+        for j in members:
+            coeffs = [F(0)] * cursor
+            if compatible is None:
+                for j2 in members:
+                    coeffs[pos[idx[j2]]] -= 1
+                coeffs[pos[idx[j]]] += 2
+                rows.append((coeffs, "<=", F(0)))
+            else:
+                coeffs[pos[idx[j]]] = F(1)
+                for t, w in enumerate(compatible):
+                    coeffs[start + t] = -F(int(w[j]))
+                rows.append((coeffs, "==", F(0)))
+    return cursor, rows
+
+
+def reference_stage_optimum(g, top):
+    """Exact optimum of one top-set stage LP in the multiplier layout."""
+    n = g.n_vars
+    total, rows = multiplier_system(g, range(n))
+    pad = [F(0)] * (total - n)
+    rows.append(([F(1)] * n + pad, "==", F(1)))
+    for i in top:
+        for j in range(n):
+            if j not in top:
+                coeffs = [F(0)] * total
+                coeffs[i], coeffs[j] = F(-1), F(1)
+                rows.append((coeffs, "<=", F(0)))
+    obj = [F(1) if i in top else F(-1) for i in range(n)] + pad
+    return lp_solve(lp(total, obj, rows))
+
+
+def reference_in_hull(label, local):
+    """Hull membership as an LP over convex weights of the codewords."""
+    words = label.codewords
+    k = words.shape[0]
+    rows = [([F(int(words[w, j])) for w in range(k)], "==", local[j])
+            for j in range(label.length)]
+    rows.append(([F(1)] * k, "==", F(1)))
+    return lp_solve(lp(k, [F(0)] * k, rows)).status == "optimal"
+
+
+def in_parity_polytope(local):
+    """Box plus every odd-set inequality, by enumeration."""
+    d = len(local)
+    if not all(0 <= v <= 1 for v in local):
+        return False
+    return all(sum(1 - local[j] if j in s else local[j] for j in range(d)) >= 1
+               for size in range(1, d + 1, 2)
+               for s in map(set, itertools.combinations(range(d), size)))
+
+
+def test_local_rows_are_facets_and_match_known_counts():
+    for name in subcodes.catalog():
+        label = subcodes.builtin(name)
+        words = label.codewords.astype(int)
+        rank = np.linalg.matrix_rank(words)
+        for (facets, eqs), gens, r in (
+                (polytope._cone_rows(label, label.length), words, rank),
+                (polytope._hull_rows(label), np.hstack([np.ones((len(words), 1), int), words]),
+                 rank + 1)):
+            values = gens @ np.array(facets).T
+            assert (values >= 0).all(), name
+            for col in values.T:
+                assert np.linalg.matrix_rank(gens[col == 0]) == r - 1, name
+            assert len(eqs) == gens.shape[1] - r
+            assert not (gens @ np.array(eqs, dtype=int).reshape(-1, gens.shape[1]).T).any()
+    # facet counts of the cones (nonnegativity rows aside) and of the hulls
+    kept = {}
+    for name in ("spc6", "hamming74", "exthamming84", "rep4"):
+        label = subcodes.builtin(name)
+        kept[name] = sum(1 for a in polytope._cone_rows(label, label.length)[0] if min(a) < 0)
+    assert kept == {"spc6": 6, "hamming74": 28, "exthamming84": 120, "rep4": 0}
+    for d in range(4, 9):
+        assert len(polytope._hull_rows(subcodes.builtin(f"spc{d}"))[0]) == 2 * d + 2 ** (d - 1)
+
+
+def test_row_check_rejects_invalid_and_redundant_rows():
+    gens = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]  # spc3, a simplicial cone
+    polytope._check_rows(gens, [(-1, 1, 1)], [], 3)
+    # violated by (0,1,1); tight nowhere; tight on one generator only
+    for bad in ((1, -1, 0), (1, 1, 1), (0, 0, 1)):
+        with pytest.raises(SolverFailure):
+            polytope._check_rows(gens, [bad], [], 3)
+    with pytest.raises(SolverFailure):
+        polytope._check_rows(gens, [], [(1, -1, 0)], 3)
+
+
+def test_spc_label_rows_equal_plain_closed_form():
+    for d in range(3, 9):
+        label, plain = single_check(subcodes.builtin(f"spc{d}")), plain_check(d)
+        for size in range(1, d + 1):
+            for subset in itertools.combinations(range(d), size):
+                assert (set(polytope._within_system(label, subset).rows)
+                        == set(polytope._within_system(plain, subset).rows))
+
+
+def test_cone_points_match_multiplier_reference_on_single_checks():
+    graphs_ = [(single_check(label), single_check(label)) for label in SMALL_LABELS]
+    graphs_ += [(plain_check(d), single_check(subcodes.builtin(f"spc{d}")))
+                for d in range(2, 8)]
+    for g, ref in graphs_:
+        for size in range(1, g.n_vars + 1):
+            for support in itertools.combinations(range(g.n_vars), size):
+                total, rows = multiplier_system(ref, support)
+                rows += [([F(int(j == i)) for j in range(total)], ">=", F(1))
+                         for i in range(size)]
+                want = lp_solve(lp(total, [F(0)] * total, rows)).status == "optimal"
+                system = polytope._within_system(g, support)
+                assert all(len(coeffs) == size for coeffs, _, _ in system.rows)
+                got = polytope.cone_point_with_support(g, support)
+                assert (got is not None) == want, (g.labels, support)
+                if got is not None:
+                    assert got.support() == support
+                    assert sum(got.values) == 1
+                    assert validate(g, got).valid, (g.labels, support)
+
+
+def test_bsc_top_set_optima_match_multiplier_reference():
+    # soundness-sweep instances: spc labels, rep labels, and both in one graph
+    b = subcodes.builtin
+    pool = [tanner.build_case_c(graphs.complete(4), b("spc3")),
+            tanner.build_case_c(graphs.complete(4), b("rep3")),
+            tanner.build_case_d(graphs.complete_bipartite(3, 2), b("rep2"), b("spc3")),
+            tanner.build_case_d(graphs.complete_bipartite(3, 2), b("spc2"), b("spc3"))]
+    compared = 0
+    for g in pool:
+        system = polytope._within_system(g, range(g.n_vars))
+        assert system.n_vars == g.n_vars
+        active = sorted(polytope.peel_to_max_stopping_subset(g))
+        cap = len(polytope.min_stopping_set(g).support)
+        for e in range(1, cap + 1):
+            for top in itertools.combinations(active, e):
+                got = lp_solve(lp(g.n_vars, polytope._gap_objective(system, top),
+                                  polytope._stage_rows(system, top)))
+                want = reference_stage_optimum(g, top)
+                assert (got.status, got.value) == (want.status, want.value), top
+                compared += 1
+    assert compared >= 50
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda d: st.lists(
+    st.fractions(min_value=0, max_value=1, max_denominator=4), min_size=d, max_size=d)))
+def test_plain_check_and_spc_label_agree(local):
+    d = len(local)
+    want = in_parity_polytope(local)
+    assert polytope.validate_simple(plain_check(d), local).valid == want
+    assert polytope.validate_generalized(plain_check(d), local, level="necessary").valid == want
+    label = single_check(subcodes.builtin(f"spc{d}"))
+    assert polytope.validate_generalized(label, local).valid == want
+    assert reference_in_hull(subcodes.builtin(f"spc{d}"), local) == want
+
+
+def test_all_ones_is_in_the_parity_polytope_exactly_for_even_degree():
+    for d in range(2, 8):
+        ones = [1] * d
+        rep = polytope.validate_simple(plain_check(d), ones)
+        assert rep.valid == (d % 2 == 0)
+        label = single_check(subcodes.builtin(f"spc{d}"))
+        assert polytope.validate_generalized(label, ones).valid == (d % 2 == 0)
+    # the odd-set failure names the whole check when no single coordinate
+    # exceeds its siblings
+    rep = polytope.validate_simple(plain_check(3), [1, 1, 1])
+    assert rep.failures == ("check 0: odd-set inequality fails on [0, 1, 2]",)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_LABELS).flatmap(lambda label: st.tuples(
+    st.just(label), st.lists(st.fractions(min_value=0, max_value=1, max_denominator=3),
+                             min_size=label.length, max_size=label.length))))
+def test_hull_rows_match_hull_lp(case):
+    label, local = case
+    got = polytope.validate_generalized(single_check(label), local).valid
+    assert got == reference_in_hull(label, local)
 
 
 # -- cover realizability ----------------------------------------------------------------
