@@ -2,7 +2,9 @@
 
 The simplex code works entirely in fractions.Fraction: results are exact and
 deterministic (Bland's rule, no cycling).  Variables are implicitly
-nonnegative; rows may be <=, >= or ==.
+nonnegative; rows may be <=, >= or ==.  maximize_each solves a sequence of
+objectives over one region, each from the previous optimal basis; lp_solve
+is its one-objective case.
 
 enumerate_vertices walks the basis graph of a bounded polyhedron under a
 lexicographic perturbation, which makes every pivot unique and covers every
@@ -205,18 +207,33 @@ class _Tableau:
         return True
 
 
+def maximize_each(prob: LinearProgram, objectives):
+    """Maximize each objective in turn over the region of `prob`, exactly.
+
+    A generator: one LpResult per objective, solved when it is requested.
+    The objective field of `prob` is ignored.  Phase 1 runs once; each
+    Bland phase 2 starts from the basis the previous one ended on, which is
+    feasible also after an unbounded objective.
+    """
+    tb = _Tableau(prob)
+    feasible = tb.phase1()
+    for objective in objectives:
+        cost = [_frac(v) for v in objective]
+        if len(cost) != prob.n_vars:
+            raise ValueError("objective length mismatch")
+        if not feasible:
+            yield LpResult(status="infeasible", value=None, x=None)
+        elif tb.run_bland(cost + [F0] * (tb.ncols - prob.n_vars)) == "unbounded":
+            yield LpResult(status="unbounded", value=None, x=None)
+        else:
+            x = tb.solution()
+            value = sum(c * v for c, v in zip(cost, x))
+            yield LpResult(status="optimal", value=value, x=tuple(x))
+
+
 def lp_solve(prob: LinearProgram) -> LpResult:
     """Exact two-phase simplex with Bland's rule (deterministic, terminating)."""
-    tb = _Tableau(prob)
-    if not tb.phase1():
-        return LpResult(status="infeasible", value=None, x=None)
-    cost = list(prob.objective) + [F0] * (tb.ncols - prob.n_vars)
-    status = tb.run_bland(cost)
-    if status == "unbounded":
-        return LpResult(status="unbounded", value=None, x=None)
-    x = tb.solution()
-    value = sum(c * v for c, v in zip(prob.objective, x))
-    return LpResult(status="optimal", value=value, x=tuple(x))
+    return next(maximize_each(prob, [prob.objective]))
 
 
 def enumerate_vertices(prob: LinearProgram, budget: int = 200_000) -> list[tuple[Fraction, ...]]:

@@ -11,13 +11,13 @@ have one variable per code coordinate and nothing else.  For labels, the
 threshold, half-set and quarter-set conditions remain available as a
 cheaper, necessary-only validation level.
 
-The block-error (flipping-set) weight minimum comes from a staged top-set LP
-search over the cone, and the Gaussian-channel minimum from maximizing the
-squared norm over the normalized cone section, which is attained at a vertex
-and therefore found by exact vertex enumeration.  Reported values and
-witnesses come from exact rational LPs, but a float LP prescreen (scipy)
-drops top-set candidates on float evidence alone, and those drops are not
-re-proved in exact arithmetic yet.
+The block-error (flipping-set) weight minimum comes from a staged top-set
+search over the normalized cone section: one exact simplex, warm-started
+from one top set's optimal basis to the next.  The Gaussian-channel minimum
+comes from maximizing the squared norm over the same section, which is
+attained at a vertex and therefore found by exact vertex enumeration.
+Every value, witness and discarded candidate rests on exact rational
+arithmetic; no float decides anything here.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     LengthMismatch,
@@ -39,7 +38,7 @@ from .errors import (
     ZeroVector,
     DegreeTooLarge,
 )
-from .lpsolve import F0, F1, lp, lp_solve, enumerate_vertices
+from .lpsolve import F0, F1, enumerate_vertices, lp, lp_solve, maximize_each
 
 MAX_BSC_VARS = 14
 MAX_AWGN_VARS = 64
@@ -544,53 +543,19 @@ def min_stopping_set(g, kind: str | None = None) -> StoppingSet | None:
 # -- exact block-error weight minimum -----------------------------------------------
 
 
-def _float_arrays(rows) -> tuple:
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, sense, rhs in rows:
-        fc = [float(v) for v in coeffs]
-        if sense == "<=":
-            a_ub.append(fc)
-            b_ub.append(float(rhs))
-        elif sense == ">=":
-            a_ub.append([-v for v in fc])
-            b_ub.append(-float(rhs))
-        else:
-            a_eq.append(fc)
-            b_eq.append(float(rhs))
-    return (np.array(a_ub) if a_ub else None, np.array(b_ub) if b_ub else None,
-            np.array(a_eq) if a_eq else None, np.array(b_eq) if b_eq else None)
-
-
-def _stage_rows(system: _ConeSystem, top: tuple[int, ...]):
-    """Rows for one top-set subproblem: cone, normalization, ordering."""
-    n = system.n_vars
-    rows = list(system.rows)
-    rows.append((tuple([F1] * n), "==", F1))
-    inside = set(top)
-    for i in top:
-        for j in range(n):
-            if j not in inside:
-                coeffs = [F0] * n
-                coeffs[i] = -F1
-                coeffs[j] = F1
-                rows.append((tuple(coeffs), "<=", F0))  # q_j <= q_i
-    return rows
-
-
-def _gap_objective(system: _ConeSystem, top: tuple[int, ...]) -> list[Fraction]:
-    inside = set(top)
-    return [F1 if i in inside else -F1 for i in range(system.n_vars)]
-
-
 def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
     """Exact minimum flipping-set weight over the fundamental cone.
 
-    Staged search on e = 1, 2, ...: for every candidate top set E of size e
-    (subsets of the peeled candidate set), maximize mass(E) - mass(rest) over
-    the normalized cone with E on top.  The first stage with a nonnegative
-    optimum decides: weight 2e-1 when some optimum is positive, 2e when the
-    best optima are exactly zero.  A float LP prescreen discards clearly
-    negative candidates; every surviving decision is re-solved exactly.
+    The region is the normalized cone section restricted to the peeled
+    candidate set, which is exact: the support of every cone point survives
+    peeling.  Stage e = 1, 2, ... maximizes mass(E) - mass(rest) for every
+    candidate top set E of size e.  No ordering rows put E on top, because
+    the best of these optima is 2 topsum_e(q) - 1 maximized over the region
+    either way.  The first stage with a nonnegative optimum decides: weight
+    2e-1 when some optimum is positive, 2e when the best optima are exactly
+    zero; the optimal point of the deciding top set has exactly that weight.
+    Every objective is solved in exact arithmetic, each from the previous
+    optimal basis, and no candidate is dropped on float evidence.
 
     Returns None when the cone has no nonzero point.  Guarded at 14 variables.
     """
@@ -603,36 +568,27 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
     if smin is None:
         return None
     cap = len(smin.support)
-    system = _within_system(g, range(g.n_vars))
+    system = _within_system(g, active)
+    n = system.n_vars
+    prob = lp(n, [F0] * n, list(system.rows) + [([F1] * n, "==", F1)])
+    tops = itertools.chain.from_iterable(
+        itertools.combinations(range(n), e) for e in range(1, cap + 1))
+    results = maximize_each(prob, ([F1 if i in top else -F1 for i in range(n)]
+                                   for top in tops))
     for e in range(1, cap + 1):
-        best_gap = None
-        best_witness = None
-        for top in itertools.combinations(active, e):
-            rows = _stage_rows(system, top)
-            a_ub, b_ub, a_eq, b_eq = _float_arrays(rows)
-            c = np.array([-float(v) for v in _gap_objective(system, top)])
-            screen = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                             bounds=(0, None), method="highs")
-            if screen.status == 2:  # infeasible
-                continue
-            if screen.status == 0 and -screen.fun < -1e-6:
-                continue  # safely negative gap
-            res = lp_solve(lp(system.n_vars, _gap_objective(system, top), rows))
-            if res.status != "optimal":
-                continue
-            if res.value is not None and res.value >= 0:
-                if best_gap is None or res.value > best_gap:
-                    best_gap = res.value
-                    best_witness = res.x
-                if best_gap > 0:
-                    # Sign settles the stage: any earlier-deciding top set
-                    # would have surfaced in a smaller stage.
-                    break
-        if best_gap is not None:
-            weight = 2 * e - 1 if best_gap > 0 else 2 * e
-            # mass 1 already: a polytope point (see _within_witness)
-            pc = Pseudocodeword(values=best_witness, certificate=f"top-set-stage-{e}")
-            return weight, pc
+        best = None
+        for res in itertools.islice(results, comb(n, e)):
+            if res.status == "optimal" and res.value >= 0 and (
+                    best is None or res.value > best.value):
+                best = res
+                if best.value > 0:
+                    break  # the sign settles the stage
+        if best is not None:
+            values = [F0] * g.n_vars
+            for v, q in zip(system.subset, best.x):
+                values[v] = q  # mass 1 already: a polytope point (see _within_witness)
+            pc = Pseudocodeword(values=tuple(values), certificate=f"top-set-stage-{e}")
+            return (2 * e - 1 if best.value > 0 else 2 * e), pc
     raise SolverFailure("staged search passed the stopping-set cap without success")
 
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expandercodes.errors import SearchSpaceTooLarge
-from expandercodes.lpsolve import enumerate_vertices, lp, lp_solve
+from expandercodes.lpsolve import enumerate_vertices, lp, lp_solve, maximize_each
 
 F = Fraction
 
@@ -124,6 +126,40 @@ def test_against_brute_force_vertices():
     assert agree > 20  # the generator must not be degenerate
 
 
+def int_vectors(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+
+@st.composite
+def region_and_objectives(draw):
+    """A small LP region, boxed or not, and a list of objectives over it."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(int_vectors(n), st.sampled_from(["<=", ">=", "=="]),
+                                   st.integers(-2, 4)), max_size=4))
+    if draw(st.booleans()):
+        rows += [([int(j == i) for j in range(n)], "<=", 4) for i in range(n)]
+    objectives = draw(st.lists(int_vectors(n), min_size=1, max_size=5))
+    return lp(n, [0] * n, rows), objectives
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_and_objectives())
+# an empty region: every objective is infeasible
+@example((lp(1, [0], [([1], ">=", 1), ([1], "<=", 0)]), [[1], [-1]]))
+# unbounded, bounded after it, unbounded again, bounded again
+@example((lp(2, [0, 0], [([1, -1], "<=", 1)]), [[1, 1], [-1, 0], [0, 1], [1, -1]]))
+def test_maximize_each_matches_fresh_solves(case):
+    prob, objectives = case
+    got = list(maximize_each(prob, objectives))
+    assert len(got) == len(objectives)
+    for objective, res in zip(objectives, got):
+        want = lp_solve(lp(prob.n_vars, objective, prob.rows))
+        assert (res.status, res.value) == (want.status, want.value)
+        if res.status == "optimal":
+            assert _feasible(prob, res.x)
+            assert res.value == sum(c * v for c, v in zip(objective, res.x))
+
+
 def test_enumerate_vertices_unit_simplex():
     prob = lp(3, [0, 0, 0], [([1, 1, 1], "==", 1)])
     verts = set(enumerate_vertices(prob))
@@ -164,3 +200,5 @@ def test_lp_validation_errors():
         lp(1, [1], [([1, 2], "<=", 1)])
     with pytest.raises(ValueError):
         lp(1, [1], [([1], "<", 1)])
+    with pytest.raises(ValueError):
+        next(maximize_each(lp(1, [1], []), [[1, 2]]))

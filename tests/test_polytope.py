@@ -28,7 +28,7 @@ from expandercodes.errors import (
     ZeroVector,
 )
 from expandercodes.gf2 import BitMatrix, code_params
-from expandercodes.lpsolve import lp, lp_solve
+from expandercodes.lpsolve import enumerate_vertices, lp, lp_solve, maximize_each
 
 F = Fraction
 SPC3 = subcodes.builtin("spc3")
@@ -634,7 +634,11 @@ def test_cone_points_match_multiplier_reference_on_single_checks():
 
 
 def test_bsc_top_set_optima_match_multiplier_reference():
-    # soundness-sweep instances: spc labels, rep labels, and both in one graph
+    # Per stage, the best top-set optimum of the row LP without ordering
+    # rows (what the oracle solves) equals the best optimum of the
+    # multiplier-layout LP with E held on top by ordering rows: both are
+    # 2 topsum_e(q) - 1 maximized over the section.  Soundness-sweep
+    # instances: spc labels, rep labels, and both in one graph.
     b = subcodes.builtin
     pool = [tanner.build_case_c(graphs.complete(4), b("spc3")),
             tanner.build_case_c(graphs.complete(4), b("rep3")),
@@ -642,18 +646,53 @@ def test_bsc_top_set_optima_match_multiplier_reference():
             tanner.build_case_d(graphs.complete_bipartite(3, 2), b("spc2"), b("spc3"))]
     compared = 0
     for g in pool:
-        system = polytope._within_system(g, range(g.n_vars))
-        assert system.n_vars == g.n_vars
+        # the region min_bsc_pseudoweight searches: the cone on the peeled
+        # candidate set, normalized to mass 1
         active = sorted(polytope.peel_to_max_stopping_subset(g))
+        k = len(active)
+        section = lp(k, [F(0)] * k, list(polytope._within_system(g, active).rows)
+                     + [([F(1)] * k, "==", F(1))])
         cap = len(polytope.min_stopping_set(g).support)
         for e in range(1, cap + 1):
-            for top in itertools.combinations(active, e):
-                got = lp_solve(lp(g.n_vars, polytope._gap_objective(system, top),
-                                  polytope._stage_rows(system, top)))
-                want = reference_stage_optimum(g, top)
-                assert (got.status, got.value) == (want.status, want.value), top
-                compared += 1
+            tops = list(itertools.combinations(range(k), e))
+            got = list(maximize_each(section, ([F(1) if i in top else F(-1) for i in range(k)]
+                                               for top in tops)))
+            assert all(r.status == "optimal" for r in got)
+            want = [reference_stage_optimum(g, tuple(active[i] for i in top)) for top in tops]
+            want = [r.value for r in want if r.status == "optimal"]
+            assert max(r.value for r in got) == max(want), (g.labels, e)
+            compared += len(tops)
     assert compared >= 50
+
+
+def test_min_bsc_equals_least_vertex_weight():
+    # topsum_e is convex, so its maximum over the normalized cone section is
+    # attained at a vertex; hence the least flipping-set weight over the
+    # section is the least over its vertices, found here by enumeration.
+    b = subcodes.builtin
+    pool = [triangle(), square(),
+            tanner.build_case_c(graphs.complete(4), b("spc3")),
+            tanner.build_case_c(graphs.complete(4), b("rep3")),
+            tanner.build_case_d(graphs.complete_bipartite(3, 2), b("rep2"), b("spc3")),
+            tanner.build_case_d(graphs.complete_bipartite(3, 2), b("spc2"), b("spc3")),
+            tanner.build_case_d(graphs.complete_bipartite(2, 3), b("rep3"), b("rep2")),
+            tanner.build_case_c(graphs.prism(3), b("rep3")),
+            tanner.build_case_c(graphs.cycle(6), b("rep2")),
+            tanner.build_case_c(graphs.cycle(5), b("spc2")),
+            tanner.build_case_a(2, 2, 7, seed=1, require_connected=True)]
+    pool += [tanner.build_case_a(2, 3, 6, seed=s) for s in range(2)]
+    # its deciding stage has a zero top-set optimum before a positive one
+    pool.append(tanner.build_case_a(2, 3, 9, seed=1))
+    pool += [tanner.build_case_a(2, 4, 6, seed=s) for s in range(6)]
+    pool += [tanner.build_case_b(2, 4, 4, b("spc4"), seed=s) for s in range(3)]
+    for g in pool:
+        n = g.n_vars
+        system = polytope._within_system(g, range(n))
+        section = lp(n, [F(0)] * n, list(system.rows) + [([F(1)] * n, "==", F(1))])
+        weight, witness = polytope.min_bsc_pseudoweight(g)
+        assert weight == min(polytope.bsc_weight(v).weight for v in enumerate_vertices(section))
+        assert polytope.bsc_weight(witness).weight == weight
+        assert validate(g, witness).valid, g.labels
 
 
 @settings(max_examples=150, deadline=None)
