@@ -239,7 +239,8 @@ def tanner_awgn_bound(g) -> BoundReport:
 # -- verification against exact oracles ------------------------------------------------
 
 
-@dataclass(frozen=True)
+# slots: callers keep many reports, so each row and report stays small
+@dataclass(frozen=True, slots=True)
 class VerificationRow:
     bound_id: str
     quantity: str
@@ -258,7 +259,7 @@ class VerificationRow:
                 "strict": self.strict, "conjectural": self.conjectural}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     provenance: str
     rows: tuple[VerificationRow, ...]

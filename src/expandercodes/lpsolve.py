@@ -1,10 +1,17 @@
 """Exact rational linear programming and vertex enumeration.
 
-The simplex code works entirely in fractions.Fraction: results are exact and
-deterministic (Bland's rule, no cycling).  Variables are implicitly
-nonnegative; rows may be <=, >= or ==.  maximize_each solves a sequence of
-objectives over one region, each from the previous optimal basis; lp_solve
-is its one-objective case.
+The simplex is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
+Comp. 1968): the tableau holds Python integers over one common denominator
+D = |det B| of the current basis B.  Each row is scaled to integers once,
+when the tableau is built; after that a pivot is integer multiplication and
+one division by the previous D per entry, which Sylvester's identity makes
+exact.  Every division is checked, and a remainder raises SolverFailure.
+Every pivot decision compares the same rationals that a tableau of the
+unscaled rows over Fraction would, so results are exact and deterministic
+(Bland's rule, no cycling).  Variables are implicitly nonnegative; rows may
+be <=, >= or ==.  maximize_each solves a sequence of objectives over one
+region, each from the previous optimal basis; lp_solve is its one-objective
+case.
 
 enumerate_vertices walks the basis graph of a bounded polyhedron under a
 lexicographic perturbation, which makes every pivot unique and covers every
@@ -13,6 +20,7 @@ vertex even on degenerate polytopes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,11 +33,7 @@ _SENSES = ("<=", ">=", "==")
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary expansion
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)  # floats: exact binary expansion
 
 
 @dataclass(frozen=True)
@@ -69,33 +73,71 @@ class LpResult:
     x: tuple[Fraction, ...] | None
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Rationals times the lcm L of their denominators: (integers, L)."""
+    fs = [_frac(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in fs))
+    return [v.numerator * (scale // v.denominator) for v in fs], scale
+
+
+def _eliminate(row: list[int], rowr: list[int], j: int, p: int, d: int) -> list[int]:
+    """(row*p - row[j]*rowr) / d, every division checked for exactness.
+
+    d divides each numerator exactly when it divides their gcd.
+    """
+    f = row[j]
+    if f:
+        num = [a * p - f * b for a, b in zip(row, rowr)]
+    elif p == d:
+        return row
+    else:
+        num = [a * p for a in row]
+    if d == 1:
+        return num
+    if math.gcd(*num) % d:
+        raise SolverFailure(f"inexact fraction-free division by {d}")
+    return [v // d for v in num]
+
+
 class _Tableau:
-    """Dense simplex tableau over Fraction with Bland and lexicographic rules."""
+    """Dense fraction-free simplex tableau with Bland and lexicographic rules.
+
+    T[i] is row i as Python integers with its right-hand side last; entry
+    T[i][k] stands for the rational T[i][k] / D, where D = |det B| of the
+    current basis B, so a basic column holds D in its row and 0 elsewhere.
+    Built rows are first flipped to a nonnegative right-hand side, then
+    scaled by the lcm L_i of their denominators; slack and artificial
+    columns stay unit columns, so those variables stand for L_i times the
+    unscaled ones.  Their values are never reported, and phase 1 weighs
+    artificial i by 1/L_i so that it minimizes the unscaled infeasibility.
+    These positive row and column scales keep the sign of every reduced cost
+    and the order of every ratio of one column, so each pivot is the one a
+    Fraction tableau of the unscaled rows would take.
+    """
 
     def __init__(self, prob: LinearProgram):
         n = prob.n_vars
         norm_rows = []
         for coeffs, sense, rhs in prob.rows:
-            c, r = list(coeffs), rhs
-            if r < 0:
-                c = [-v for v in c]
-                r = -r
+            vals = [*coeffs, rhs]
+            if rhs < 0:
+                vals = [-v for v in vals]
                 sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-            norm_rows.append((c, sense, r))
-        nslack = sum(1 for (_, s, _) in norm_rows if s != "==")
+            norm_rows.append((*_scaled(vals), sense))
+        nslack = sum(1 for (_, _, s) in norm_rows if s != "==")
         self.n_orig = n
         self.n_struct = n + nslack  # columns that survive phase 1
         art_rows = []
-        T, rhs_col, basis = [], [], []
+        T, basis = [], []
         si = 0
-        for i, (c, sense, r) in enumerate(norm_rows):
-            row = c + [F0] * nslack
+        for i, (vals, _, sense) in enumerate(norm_rows):
+            row = vals[:-1] + [0] * nslack
             if sense == "<=":
-                row[n + si] = F1
+                row[n + si] = 1
                 basis.append(n + si)
                 si += 1
             elif sense == ">=":
-                row[n + si] = -F1
+                row[n + si] = -1
                 basis.append(None)
                 art_rows.append(i)
                 si += 1
@@ -103,91 +145,114 @@ class _Tableau:
                 basis.append(None)
                 art_rows.append(i)
             T.append(row)
-            rhs_col.append(r)
-        # artificial columns appended after structural ones
+        # artificial columns appended after structural ones, then the rhs
         self.n_art = len(art_rows)
+        self.art_cost = [Fraction(-1, norm_rows[i][1]) for i in art_rows]
         for k, i in enumerate(art_rows):
             for r_i, row in enumerate(T):
-                row.append(F1 if r_i == i else F0)
+                row.append(1 if r_i == i else 0)
             basis[i] = self.n_struct + k
+        for row, (vals, _, _) in zip(T, norm_rows):
+            row.append(vals[-1])
         self.T = T
-        self.rhs = rhs_col
+        self.D = 1
         self.basis = basis
         self.m = len(T)
         self.ncols = self.n_struct + self.n_art
 
     def pivot(self, r: int, j: int) -> None:
-        T, rhs = self.T, self.rhs
-        piv = T[r][j]
-        if piv == 0:
-            raise SolverFailure("pivot on zero entry")
-        inv = F1 / piv
-        T[r] = [v * inv for v in T[r]]
-        rhs[r] *= inv
+        """Pivot on (r, j): row r is kept (negated if T[r][j] < 0), every
+        other row i becomes (T[i]*p - T[i][j]*T[r]) / D, and D becomes |p|."""
+        T, d = self.T, self.D
         rowr = T[r]
+        p = rowr[j]
+        if p == 0:
+            raise SolverFailure("pivot on zero entry")
+        if p < 0:
+            rowr = T[r] = [-v for v in rowr]
+            p = -p
         for i in range(self.m):
-            if i == r:
-                continue
-            f = T[i][j]
-            if f:
-                rowi = T[i]
-                T[i] = [a - f * b for a, b in zip(rowi, rowr)]
-                rhs[i] -= f * rhs[r]
+            if i != r:
+                T[i] = _eliminate(T[i], rowr, j, p, d)
+        self.D = p
         self.basis[r] = j
 
-    def _reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        obj = cost[:]
+    def _reduced_costs(self, cost: list[int]) -> list[int]:
+        """D times the reduced costs of integer costs, objective slot last."""
+        obj = [self.D * c for c in cost] + [0]
         for r, c in enumerate(self.basis):
-            f = obj[c]
+            f = cost[c]
             if f:
-                rowr = self.T[r]
-                obj = [a - f * b for a, b in zip(obj, rowr)]
+                obj = [a - f * b for a, b in zip(obj, self.T[r])]
         return obj
 
-    def run_bland(self, cost: list[Fraction]) -> str:
-        """Maximize cost.x from the current feasible basis; returns status."""
-        obj = self._reduced_costs(cost)
+    def run_bland(self, cost) -> str:
+        """Maximize cost.x from the current feasible basis; returns status.
+
+        The rational costs are scaled to integers, which keeps every sign of
+        the reduced-cost row; that row is pivoted along with the tableau.
+        """
+        obj = self._reduced_costs(_scaled(cost)[0])
+        T, basis = self.T, self.basis
         while True:
-            enter = -1
-            for j in range(self.ncols):
-                if obj[j] > 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(self.ncols) if obj[j] > 0), -1)
             if enter < 0:
                 return "optimal"
-            best_r, best_ratio = -1, None
-            for i in range(self.m):
-                a = self.T[i][enter]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio and self.basis[i] < self.basis[best_r])):
-                        best_r, best_ratio = i, ratio
-            if best_r < 0:
+            rows = [i for i in range(self.m) if T[i][enter] > 0]
+            if not rows:
                 return "unbounded"
-            f = obj[enter]
-            rowp = self.T[best_r]
-            piv = rowp[enter]
+            # least ratio, ties to the least basic column
+            best_r = min(self._least_ratios(rows, -1, enter), key=basis.__getitem__)
+            d = self.D
             self.pivot(best_r, enter)
-            rowr = self.T[best_r]
-            obj = [a - f * b for a, b in zip(obj, rowr)]
+            obj = _eliminate(obj, T[best_r], enter, self.D, d)
+
+    def _least_ratios(self, rows: list[int], col: int, j: int) -> list[int]:
+        """The rows i of `rows` with the least T[i][col] / T[i][j], in order.
+
+        Needs T[i][j] > 0.  Both entries of a ratio carry the same D, so the
+        ratios order as in a Fraction tableau; they are compared
+        cross-multiplied.
+        """
+        T = self.T
+        best = rows[:1]
+        bn, bd = T[rows[0]][col], T[rows[0]][j]
+        for i in rows[1:]:
+            num, den = T[i][col], T[i][j]
+            cmp = num * bd - bn * den
+            if cmp < 0:
+                best, bn, bd = [i], num, den
+            elif cmp == 0:
+                best.append(i)
+        return best
+
+    def lex_leaving(self, j: int, lex_cols: list[int]) -> int:
+        """Leaving row for entering column j under the lexicographic rule:
+        least rhs ratio, ties broken by the ratios of lex_cols in turn, then
+        by row order."""
+        rows = [i for i in range(self.m) if self.T[i][j] > 0]
+        if not rows:
+            raise SolverFailure("unbounded region in vertex enumeration")
+        for col in (-1, *lex_cols):
+            if len(rows) == 1:
+                break
+            rows = self._least_ratios(rows, col, j)
+        return rows[0]
 
     def solution(self) -> list[Fraction]:
-        x = [F0] * self.ncols
+        x = [F0] * self.n_orig
         for r, c in enumerate(self.basis):
-            x[c] = self.rhs[r]
-        return x[: self.n_orig]
+            if c < self.n_orig:
+                x[c] = Fraction(self.T[r][-1], self.D)
+        return x
 
     def phase1(self) -> bool:
         """Drive artificials to zero; True when feasible.  On success the
         artificial columns are stripped and redundant rows dropped."""
         if self.n_art:
-            cost = [F0] * self.ncols
-            for j in range(self.n_struct, self.ncols):
-                cost[j] = -F1
-            self.run_bland(cost)  # bounded below by construction
+            self.run_bland([F0] * self.n_struct + self.art_cost)  # bounded below by construction
             for r, c in enumerate(self.basis):
-                if c >= self.n_struct and self.rhs[r] != 0:
+                if c >= self.n_struct and self.T[r][-1] != 0:
                     return False
             # pivot zero-level artificials out, drop redundant rows
             drop = []
@@ -199,9 +264,9 @@ class _Tableau:
                     else:
                         drop.append(r)
             for r in reversed(drop):
-                del self.T[r], self.rhs[r], self.basis[r]
+                del self.T[r], self.basis[r]
             self.m = len(self.T)
-        self.T = [row[: self.n_struct] for row in self.T]
+        self.T = [row[: self.n_struct] + row[-1:] for row in self.T]
         self.ncols = self.n_struct
         self.n_art = 0
         return True
@@ -250,23 +315,8 @@ def enumerate_vertices(prob: LinearProgram, budget: int = 200_000) -> list[tuple
     tb = _Tableau(prob)
     if not tb.phase1():
         raise InfeasibleRegion("empty feasible region")
-    m, ncols = tb.m, tb.ncols
+    ncols = tb.ncols
     lex_cols = list(tb.basis)  # identity block at walk start: a valid perturbation
-
-    def lex_leaving(j: int) -> int:
-        rows = [i for i in range(m) if tb.T[i][j] > 0]
-        if not rows:
-            raise SolverFailure("unbounded region in vertex enumeration")
-        keys = {i: tb.rhs[i] / tb.T[i][j] for i in rows}
-        for col in lex_cols:
-            best = min(keys.values())
-            rows = [i for i in rows if keys[i] == best]
-            if len(rows) == 1:
-                return rows[0]
-            keys = {i: tb.T[i][col] / tb.T[i][j] for i in rows}
-        best = min(keys.values())
-        rows = [i for i in rows if keys[i] == best]
-        return rows[0]
 
     seen = {frozenset(tb.basis)}
     points: dict[tuple[Fraction, ...], None] = {}
@@ -279,7 +329,7 @@ def enumerate_vertices(prob: LinearProgram, budget: int = 200_000) -> list[tuple
         for j in it:
             if j in tb.basis:
                 continue
-            r = lex_leaving(j)
+            r = tb.lex_leaving(j, lex_cols)
             out = tb.basis[r]
             key = frozenset(b if i != r else j for i, b in enumerate(tb.basis))
             if key in seen:

@@ -6,10 +6,181 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expandercodes.errors import SearchSpaceTooLarge
-from expandercodes.lpsolve import enumerate_vertices, lp, lp_solve, maximize_each
+from expandercodes import lpsolve
+from expandercodes.errors import InfeasibleRegion, SearchSpaceTooLarge, SolverFailure
+from expandercodes.lpsolve import _Tableau, enumerate_vertices, lp, lp_solve, maximize_each
 
 F = Fraction
+F0 = F(0)
+F1 = F(1)
+
+
+class FractionTableau:
+    """Dense simplex tableau over Fraction: the reference for _Tableau.
+
+    The same rules on the unscaled rows, with every entry a Fraction; the
+    fraction-free tableau must take the same pivots and reach the same
+    points.
+    """
+
+    def __init__(self, prob):
+        n = prob.n_vars
+        norm_rows = []
+        for coeffs, sense, rhs in prob.rows:
+            c, r = list(coeffs), rhs
+            if r < 0:
+                c = [-v for v in c]
+                r = -r
+                sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
+            norm_rows.append((c, sense, r))
+        nslack = sum(1 for (_, s, _) in norm_rows if s != "==")
+        self.n_orig = n
+        self.n_struct = n + nslack
+        art_rows = []
+        T, rhs_col, basis = [], [], []
+        si = 0
+        for i, (c, sense, r) in enumerate(norm_rows):
+            row = c + [F0] * nslack
+            if sense == "<=":
+                row[n + si] = F1
+                basis.append(n + si)
+                si += 1
+            elif sense == ">=":
+                row[n + si] = -F1
+                basis.append(None)
+                art_rows.append(i)
+                si += 1
+            else:
+                basis.append(None)
+                art_rows.append(i)
+            T.append(row)
+            rhs_col.append(r)
+        self.n_art = len(art_rows)
+        for k, i in enumerate(art_rows):
+            for r_i, row in enumerate(T):
+                row.append(F1 if r_i == i else F0)
+            basis[i] = self.n_struct + k
+        self.T = T
+        self.rhs = rhs_col
+        self.basis = basis
+        self.m = len(T)
+        self.ncols = self.n_struct + self.n_art
+
+    def pivot(self, r, j):
+        T, rhs = self.T, self.rhs
+        piv = T[r][j]
+        if piv == 0:
+            raise SolverFailure("pivot on zero entry")
+        inv = F1 / piv
+        T[r] = [v * inv for v in T[r]]
+        rhs[r] *= inv
+        rowr = T[r]
+        for i in range(self.m):
+            if i == r:
+                continue
+            f = T[i][j]
+            if f:
+                rowi = T[i]
+                T[i] = [a - f * b for a, b in zip(rowi, rowr)]
+                rhs[i] -= f * rhs[r]
+        self.basis[r] = j
+
+    def _reduced_costs(self, cost):
+        obj = cost[:]
+        for r, c in enumerate(self.basis):
+            f = obj[c]
+            if f:
+                obj = [a - f * b for a, b in zip(obj, self.T[r])]
+        return obj
+
+    def run_bland(self, cost):
+        obj = self._reduced_costs(cost)
+        while True:
+            enter = next((j for j in range(self.ncols) if obj[j] > 0), -1)
+            if enter < 0:
+                return "optimal"
+            best_r, best_ratio = -1, None
+            for i in range(self.m):
+                a = self.T[i][enter]
+                if a > 0:
+                    ratio = self.rhs[i] / a
+                    if (best_ratio is None or ratio < best_ratio
+                            or (ratio == best_ratio and self.basis[i] < self.basis[best_r])):
+                        best_r, best_ratio = i, ratio
+            if best_r < 0:
+                return "unbounded"
+            f = obj[enter]
+            self.pivot(best_r, enter)
+            obj = [a - f * b for a, b in zip(obj, self.T[best_r])]
+
+    def lex_leaving(self, j, lex_cols):
+        rows = [i for i in range(self.m) if self.T[i][j] > 0]
+        if not rows:
+            raise SolverFailure("unbounded region in vertex enumeration")
+        keys = {i: self.rhs[i] / self.T[i][j] for i in rows}
+        for col in lex_cols:
+            best = min(keys.values())
+            rows = [i for i in rows if keys[i] == best]
+            if len(rows) == 1:
+                return rows[0]
+            keys = {i: self.T[i][col] / self.T[i][j] for i in rows}
+        best = min(keys.values())
+        rows = [i for i in rows if keys[i] == best]
+        return rows[0]
+
+    def solution(self):
+        x = [F0] * self.ncols
+        for r, c in enumerate(self.basis):
+            x[c] = self.rhs[r]
+        return x[: self.n_orig]
+
+    def phase1(self):
+        if self.n_art:
+            cost = [F0] * self.ncols
+            for j in range(self.n_struct, self.ncols):
+                cost[j] = -F1
+            self.run_bland(cost)
+            for r, c in enumerate(self.basis):
+                if c >= self.n_struct and self.rhs[r] != 0:
+                    return False
+            drop = []
+            for r in range(self.m):
+                if self.basis[r] >= self.n_struct:
+                    j = next((jj for jj in range(self.n_struct) if self.T[r][jj] != 0), -1)
+                    if j >= 0:
+                        self.pivot(r, j)
+                    else:
+                        drop.append(r)
+            for r in reversed(drop):
+                del self.T[r], self.rhs[r], self.basis[r]
+            self.m = len(self.T)
+        self.T = [row[: self.n_struct] for row in self.T]
+        self.ncols = self.n_struct
+        self.n_art = 0
+        return True
+
+
+def run_with_tableau(tableau, solve):
+    """solve() with lpsolve's tableau class replaced: (pivots, outcome).
+
+    pivots lists every (row, column) pivot in order; the outcome is solve's
+    return value, or the class of the solver error it raised.
+    """
+    pivots = []
+    pivot = tableau.pivot
+
+    def recorded(self, r, j):
+        pivots.append((r, j))
+        pivot(self, r, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tableau, "pivot", recorded)
+        mp.setattr(lpsolve, "_Tableau", tableau)
+        try:
+            outcome = solve()
+        except (InfeasibleRegion, SearchSpaceTooLarge, SolverFailure) as exc:
+            outcome = type(exc)
+    return pivots, outcome
 
 
 def brute_force_optimum(prob):
@@ -202,3 +373,71 @@ def test_lp_validation_errors():
         lp(1, [1], [([1], "<", 1)])
     with pytest.raises(ValueError):
         next(maximize_each(lp(1, [1], []), [[1, 2]]))
+
+
+# coefficients with denominators, including floats' binary expansions, so
+# that rows need the build-time integer scaling
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from([0.5, -0.25, 0.1, -1.5, 2.75, 1 / 3]))
+
+
+@st.composite
+def mixed_region_and_objectives(draw):
+    """A region with rational and float rows of every sense, objectives over it.
+
+    Negative right-hand sides flip senses; >= and == rows start on
+    artificials, whose phase-1 drive-out may pivot on negative entries; a
+    rescaled copy of an equality row is redundant and gets dropped.  Most
+    regions hold an anchor point, so that phase 2 runs; the rest may be
+    empty.
+    """
+    n = draw(st.integers(1, 4))
+    vector = st.lists(coefficients, min_size=n, max_size=n)
+    anchor = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    rows = []
+    for coeffs, sense in draw(st.lists(st.tuples(vector, st.sampled_from(["<=", ">=", "=="])),
+                                       max_size=4)):
+        if anchor is None:
+            rhs = draw(coefficients)
+        else:
+            rhs = sum(F(a) * x for a, x in zip(coeffs, anchor))
+            rhs += {"<=": 1, ">=": -1, "==": 0}[sense] * draw(st.integers(0, 2))
+        rows.append((coeffs, sense, rhs))
+    if rows and draw(st.booleans()):
+        coeffs, _, rhs = rows[0]
+        k = draw(st.sampled_from([1, -2, F(3, 2)]))
+        rows += [(coeffs, "==", rhs), ([k * F(v) for v in coeffs], "==", k * F(rhs))]
+    if draw(st.booleans()):
+        rows += [([int(j == i) for j in range(n)], "<=", 3) for i in range(n)]
+    objectives = draw(st.lists(vector, min_size=1, max_size=4))
+    return lp(n, [0] * n, draw(st.permutations(rows))), objectives
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_region_and_objectives())
+# redundant equalities after a negative right-hand side: drive-out and drop
+@example((lp(2, [0, 0], [([-1, -1], ">=", -2), ([1, 1], "==", 1), ([2, 2], "==", 2),
+                         ([F(1, 3), 0.5], "<=", 1)]), [[1, 0], [0, -1]]))
+def test_integer_tableau_takes_the_fraction_pivots(case):
+    prob, objectives = case
+
+    def solve_each():
+        return [(r.status, r.value, r.x) for r in maximize_each(prob, objectives)]
+
+    want = run_with_tableau(FractionTableau, solve_each)
+    assert run_with_tableau(_Tableau, solve_each) == want
+    want = run_with_tableau(FractionTableau, lambda: enumerate_vertices(prob, budget=500))
+    assert run_with_tableau(_Tableau, lambda: enumerate_vertices(prob, budget=500)) == want
+
+
+def test_inexact_division_raises():
+    # one pivot makes D = 2; an entry changed by one then leaves a remainder
+    # at the next pivot, which floor division would swallow
+    tb = _Tableau(lp(2, [0, 0], [([2, 1], "<=", 4), ([1, 3], "<=", 6)]))
+    tb.pivot(0, 0)
+    assert tb.D == 2 and tb.T == [[2, 1, 1, 0, 4], [0, 5, -1, 2, 8]]
+    tb.T[0][2] += 1
+    with pytest.raises(SolverFailure):
+        tb.pivot(1, 1)
