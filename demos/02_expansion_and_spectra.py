@@ -12,8 +12,10 @@ from fractions import Fraction
 from expandercodes import expansion, graphs, spectral, tanner
 
 # Exhaustive vertex expansion of a small random code graph.  delta is the
-# worst ratio |N(S)| / (c|S|) over nonempty variable subsets of size at
-# most alpha * n, as an exact rational.
+# worst ratio |N(S)| / (c|S|) over nonempty variable subsets of size
+# strictly below alpha * n, as an exact rational.  The scan visits each
+# subset once, sharing each prefix's union of checks among the subsets that
+# extend it.
 g = tanner.build_case_a(3, 6, 10, seed=5)
 profile = expansion.vertex_expansion_profile(g, Fraction(1, 5))
 print("delta =", profile.delta, "witnessed by subset", profile.witness)

@@ -38,7 +38,7 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     name: str
     holds: bool
@@ -47,7 +47,7 @@ class Hypothesis:
         return {"name": self.name, "holds": self.holds}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """One lower bound: its value, gating hypotheses, and flags.
 

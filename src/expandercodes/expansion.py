@@ -29,7 +29,7 @@ from .lpsolve import _frac
 SUBSET_BUDGET = 20_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionProfile:
     """Worst-case neighborhood expansion over small variable subsets."""
 
@@ -86,20 +86,28 @@ def vertex_expansion_profile(g, alpha, budget: int = SUBSET_BUDGET) -> Expansion
     if total > budget:
         raise SubsetSpaceTooLarge(
             f"{total} subsets exceed the budget ({budget}); lower alpha or raise it")
+    # Size by size, each (s-1)-prefix's union is OR-ed once and extended by
+    # every larger index in order, so subsets are visited lexicographically
+    # and the first integer minimum of a size is its first witness.
     best = None
     witness = None
-    checked = 0
     for s in range(1, smax + 1):
-        for combo in itertools.combinations(range(n), s):
+        lo = None
+        for prefix in itertools.combinations(range(n - 1), s - 1):
             u = 0
-            for v in combo:
+            for v in prefix:
                 u |= masks[v]
-            checked += 1
-            ratio = Fraction(u.bit_count(), c * s)
-            if best is None or ratio < best:
-                best = ratio
-                witness = combo
-    return ExpansionProfile(alpha, n, c, best, witness, checked, False)
+            start = prefix[-1] + 1 if prefix else 0
+            counts = [(u | m).bit_count() for m in masks[start:]]
+            k = min(counts)
+            if lo is None or k < lo:
+                lo = k
+                first = prefix + (start + counts.index(k),)
+        ratio = Fraction(lo, c * s)
+        if best is None or ratio < best:
+            best = ratio
+            witness = first
+    return ExpansionProfile(alpha, n, c, best, witness, total, False)
 
 
 # -- internal-edge bound for regular graphs -------------------------------------------

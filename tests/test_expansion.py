@@ -1,18 +1,21 @@
 """Expansion profiles and the two spectral edge bounds.
 
-The profile tests use a plain set-based recount as the oracle; the edge-bound
-verifiers are exercised both on graphs where the exact eigenvalue is known in
-closed form and with deliberately falsified eigenvalue inputs, which must
-produce violations.
+The profile tests use a plain set-based recount as the oracle for delta, and
+the original per-subset scan as the reference for the whole profile, witness
+included; the edge-bound verifiers are exercised both on graphs where the
+exact eigenvalue is known in closed form and with deliberately falsified
+eigenvalue inputs, which must produce violations.
 """
 
 import itertools
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from expandercodes import expansion, graphs, tanner
+from expandercodes import expansion, graphs, subcodes, tanner
 from expandercodes.errors import DomainError, NotRegular, SubsetSpaceTooLarge
 
 
@@ -30,6 +33,39 @@ def brute_profile(neighbor_sets, c, alpha):
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+def reference_profile(g, alpha):
+    """The scan vertex_expansion_profile replaced: every subset's union
+    OR-ed anew, and its ratio compared as a Fraction."""
+    alpha = Fraction(alpha)
+    n, masks, c = expansion._left_neighbor_masks(g)
+    smax = min(n, ceil(alpha * n) - 1)
+    if smax < 1:
+        return expansion.ExpansionProfile(alpha, n, c, Fraction(1), None, 0, True)
+    best = None
+    witness = None
+    checked = 0
+    for s in range(1, smax + 1):
+        for combo in itertools.combinations(range(n), s):
+            u = 0
+            for v in combo:
+                u |= masks[v]
+            checked += 1
+            ratio = Fraction(u.bit_count(), c * s)
+            if best is None or ratio < best:
+                best = ratio
+                witness = combo
+    return expansion.ExpansionProfile(alpha, n, c, best, witness, checked, False)
+
+
+def pairs_graph(groups):
+    """Degree-2 bipartite graph: the variables of group k all meet checks
+    2k and 2k + 1, so every group is a set of twins."""
+    edges = [(v, 2 * k + b) for k, group in enumerate(groups) for v in group
+             for b in (0, 1)]
+    n = sum(len(group) for group in groups)
+    return graphs.BipartiteGraph(n, 2 * len(groups), tuple(edges))
 
 
 def tanner_neighbor_sets(g):
@@ -86,6 +122,60 @@ def test_profile_vacuous_below_one_vertex():
     assert prof.delta == 1
     assert prof.witness is None
     assert prof.subsets_checked == 0
+
+
+# the @example graphs: WIDE has 66 checks, more than one 64-bit word; in
+# TWINS, delta = 1/2 is reached at sizes 2 and 4
+WIDE = tanner.build_case_a(3, 6, 132, seed=4)
+TWINS = pairs_graph([(0, 1), (2, 3), (4, 5)])
+
+
+@st.composite
+def profile_inputs(draw):
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["case_a", "case_b", "biregular"]))
+    if kind == "case_a":
+        c, d = draw(st.sampled_from([(2, 3), (2, 4), (3, 6)]))
+        g = tanner.build_case_a(c, d, d * draw(st.integers(1, 12 // d)), seed)
+    elif kind == "case_b":
+        g = tanner.build_case_b(2, 4, 4 * draw(st.integers(1, 3)),
+                                subcodes.builtin("spc4"), seed)
+    else:
+        g = graphs.random_biregular(3 * draw(st.integers(1, 4)), 2, 3, seed)
+    return g, Fraction(draw(st.integers(1, 12)), 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_inputs())
+@example((WIDE, Fraction(3, 132)))
+@example((TWINS, Fraction(1)))
+def test_profile_equals_reference_scan(inputs):
+    g, alpha = inputs
+    prof = expansion.vertex_expansion_profile(g, alpha)
+    assert prof == reference_profile(g, alpha)
+    smax = min(prof.n, ceil(alpha * prof.n) - 1)
+    assert prof.subsets_checked == sum(comb(prof.n, s) for s in range(1, smax + 1))
+
+
+def test_wide_example_spans_more_than_one_word():
+    assert WIDE.n_checks > 64
+
+
+def test_witness_prefers_the_smaller_size_on_a_tie():
+    # (0, 1) and (0, 1, 2, 3) both reach 1/2; the size-2 subset is returned
+    sets = bipartite_neighbor_sets(TWINS)
+    assert Fraction(len(set.union(*sets[:4])), 2 * 4) == Fraction(1, 2)
+    prof = expansion.vertex_expansion_profile(TWINS, 1)
+    assert prof.delta == Fraction(1, 2)
+    assert prof.witness == (0, 1)
+
+
+def test_witness_is_lexicographically_first_within_a_size():
+    # sizes 1 and 2 only; (0, 3) and (1, 2) are the twin pairs, both at 1/2
+    prof = expansion.vertex_expansion_profile(pairs_graph([(0, 3), (1, 2)]),
+                                              Fraction(3, 4))
+    assert prof.delta == Fraction(1, 2)
+    assert prof.witness == (0, 3)
 
 
 def test_profile_input_validation():
