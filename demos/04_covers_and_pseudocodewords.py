@@ -31,14 +31,14 @@ p = tanner.reduce_cover_codeword(word, tri, lift=cover)
 print("cover codeword reduces to", [str(v) for v in p.values])
 
 # The reduction is always a point of the fundamental polytope.
-print("valid:", polytope.validate_simple(tri, p.values).valid)
+print("valid:", polytope.validate(tri, p.values).valid)
 
 # The all-half point is the classic pseudocodeword of an odd cycle: no
 # codeword sits at (1/2, 1/2, 1/2), yet every decoder-visible condition
 # accepts it.
 from fractions import Fraction
 half = [Fraction(1, 2)] * 3
-print("all-half valid:", polytope.validate_simple(tri, half).valid)
+print("all-half valid:", polytope.validate(tri, half).valid)
 
 # Its effective weights on the two standard channels:
 print("BSC weight:", polytope.bsc_weight(half).weight)

@@ -53,8 +53,7 @@ from .polytope import (
     min_awgn_pseudoweight,
     min_bsc_pseudoweight,
     min_stopping_set,
-    validate_generalized,
-    validate_simple,
+    validate,
 )
 from .spectral import SpectrumReport, hht_spectrum, spectrum
 from .subcodes import SubcodeSpec, builtin as builtin_subcode, catalog as subcode_catalog

@@ -161,7 +161,8 @@ def _resolve_subcode(name: str) -> subcodes.SubcodeSpec:
     except ExpanderCodesError:
         pass
     if os.path.exists(name):
-        text = open(name).read()
+        with open(name) as fh:
+            text = fh.read()
         try:
             h = gf2.parse_alist(text)
         except ValueError:
@@ -172,7 +173,8 @@ def _resolve_subcode(name: str) -> subcodes.SubcodeSpec:
 
 def _resolve_base(spec: str, bipartite: bool):
     if os.path.exists(spec):
-        text = open(spec).read()
+        with open(spec) as fh:
+            text = fh.read()
         return (graphs.parse_bipartite_edge_list(text) if bipartite
                 else graphs.parse_edge_list(text))
     try:
@@ -222,7 +224,8 @@ def _construct(cfg: RunConfig) -> tanner.TannerGraph:
 
 def _load_graph(path: str) -> tanner.TannerGraph:
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()

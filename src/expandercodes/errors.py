@@ -79,10 +79,6 @@ class LengthMismatch(InputError):
     """Vector length does not match the graph or matrix."""
 
 
-class SubcodeMissing(InputError):
-    """Operation requires subcode labels that the graph does not carry."""
-
-
 class ZeroVector(InputError):
     """Weight functional undefined on the all-zero vector."""
 

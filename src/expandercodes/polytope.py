@@ -7,9 +7,9 @@ inequalities, tested through the most violated odd set, found greedily.  A
 subcode label gets the facet rows of its codeword cone, and of its codeword
 hull, from one exact double-description routine; the rows are checked
 against the codewords when built and cached per label.  Cone LPs therefore
-have one variable per code coordinate and nothing else.  For labels, the
-threshold, half-set and quarter-set conditions remain available as a
-cheaper, necessary-only validation level.
+have one variable per code coordinate and nothing else.  Membership in the
+fundamental polytope is therefore one test: the box, then each check's own
+description.
 
 The block-error (flipping-set) weight minimum comes from a staged top-set
 search over the normalized cone section: one exact simplex, warm-started
@@ -31,10 +31,10 @@ from math import comb, gcd, lcm
 import numpy as np
 
 from .errors import (
+    DomainError,
     LengthMismatch,
     SearchSpaceTooLarge,
     SolverFailure,
-    SubcodeMissing,
     ZeroVector,
     DegreeTooLarge,
 )
@@ -72,7 +72,6 @@ class Pseudocodeword:
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
-    level: str
     failures: tuple[str, ...] = ()
 
 
@@ -93,6 +92,13 @@ class BscWeight:
 def _coerce_values(p) -> list[Fraction]:
     vals = p.values if isinstance(p, Pseudocodeword) else p
     return [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
+
+
+def _weight_values(p) -> list[Fraction]:
+    vals = _coerce_values(p)
+    if any(v < 0 for v in vals):
+        raise DomainError("weight undefined on a vector with a negative entry")
+    return vals
 
 
 def _check_length(g, vals) -> None:
@@ -256,31 +262,10 @@ def _outside_hull(label, local: list[Fraction]) -> bool:
             or any(e[0] + _dot(e[1:], local) != 0 for e in eqs))
 
 
-def _threshold_failures(c: int, local: list[Fraction], dmin: int) -> list[str]:
-    """Necessary inequalities at one subcode check: threshold, half-set,
-    quarter-set (worst subset = the largest entries)."""
-    fails = []
-    d = len(local)
-    total = sum(local)
-    for j, v in enumerate(local):
-        if (dmin - 1) * v > total - v:
-            fails.append(f"check {c}: threshold fails at local coordinate {j}")
-            break
-    desc = sorted(local, reverse=True)
-    t_half = dmin // 2
-    if t_half >= 1:
-        top = sum(desc[:t_half])
-        if top > total - top:
-            fails.append(f"check {c}: half-set condition fails")
-    t_quarter = dmin // 4
-    if t_quarter >= 1:
-        top = sum(desc[:t_quarter])
-        if 3 * top > total - top:
-            fails.append(f"check {c}: quarter-set condition fails")
-    return fails
-
-
-def _validate(g, p, level: str) -> ValidationReport:
+def validate(g, p) -> ValidationReport:
+    """Membership of p in the fundamental polytope: the box and, at each
+    check, its one local description (the parity polytope's odd-set
+    inequalities at a plain check, the hull rows at a labelled one)."""
     vals = _coerce_values(p)
     _check_length(g, vals)
     failures = [f"coordinate {i} = {v} outside [0,1]"
@@ -291,32 +276,9 @@ def _validate(g, p, level: str) -> ValidationReport:
         label = g.labels[c]
         if label is None:
             failures.extend(_odd_set_failures(c, idx, local))
-            continue
-        failures.extend(_threshold_failures(c, local, label.dmin))
-        if level == "exact" and _outside_hull(label, local):
+        elif _outside_hull(label, local):
             failures.append(f"check {c}: restriction outside local hull")
-    return ValidationReport(valid=not failures, level=level, failures=tuple(failures))
-
-
-def validate_simple(g, p) -> ValidationReport:
-    """Membership of p in the polytope of an all-parity graph: the box and,
-    at each check, the parity polytope's odd-set inequalities."""
-    if not g.all_simple:
-        raise SubcodeMissing("graph carries subcode labels; use validate_generalized")
-    return _validate(g, p, "simple")
-
-
-def validate_generalized(g, p, level: str = "exact") -> ValidationReport:
-    """Membership test for subcode-labelled graphs.
-
-    Plain parity checks are always tested exactly (odd-set inequalities).
-    At labelled checks, level="necessary" applies the threshold, half-set
-    and quarter-set inequalities; level="exact" also evaluates the label's
-    hull rows, which is the defining condition.
-    """
-    if level not in ("necessary", "exact"):
-        raise ValueError(f"unknown level {level!r}")
-    return _validate(g, p, level)
+    return ValidationReport(valid=not failures, failures=tuple(failures))
 
 
 # -- weights ----------------------------------------------------------------------
@@ -326,7 +288,7 @@ def bsc_weight(p) -> BscWeight:
     """Flipping-set weight: with entries sorted descending, e is the least
     count whose mass reaches the mass of the rest; weight 2e on a tie, 2e-1
     when the top mass strictly exceeds the rest."""
-    vals = _coerce_values(p)
+    vals = _weight_values(p)
     total = sum(vals)
     if total == 0:
         raise ZeroVector("weight undefined on the zero vector")
@@ -343,7 +305,7 @@ def bsc_weight(p) -> BscWeight:
 
 def awgn_weight(q):
     """(sum q)^2 / sum q^2; exact Fraction in, exact Fraction out."""
-    vals = _coerce_values(q)
+    vals = _weight_values(q)
     s = sum(vals)
     ss = sum(v * v for v in vals)
     if ss == 0:
@@ -466,7 +428,7 @@ def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
     return _within_witness(g, subset, [mass], "subset-supported")
 
 
-def min_stopping_set(g, kind: str | None = None) -> StoppingSet | None:
+def min_stopping_set(g) -> StoppingSet | None:
     """Smallest nonempty stopping set, or None when there is none.
 
     Plain-parity graphs ("simple"): exhaustive by increasing size over the
@@ -475,10 +437,7 @@ def min_stopping_set(g, kind: str | None = None) -> StoppingSet | None:
     then an exact LP certifies a cone point supported exactly there; guarded
     at 16 variables.
     """
-    if kind is None:
-        kind = "simple" if g.all_simple else "generalized"
-    if kind == "simple" and not g.all_simple:
-        raise SubcodeMissing("graph has subcode labels but kind='simple' requested")
+    kind = "simple" if g.all_simple else "generalized"
     limit = MAX_STOP_SIMPLE if kind == "simple" else MAX_STOP_GENERAL
     if g.n_vars > limit:
         raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the {kind} guard ({limit})")

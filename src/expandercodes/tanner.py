@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     InconsistentParameters,
-    InfeasibleDegrees,
     InputError,
     LengthMismatch,
     NotACodewordInCover,
@@ -222,15 +221,18 @@ class TannerGraph:
         if data.get("format") != "tanner-graph":
             raise InputError("missing or wrong format marker")
         labels = []
-        for item in data["labels"]:
-            if item is None:
-                labels.append(None)
-            else:
-                rows = [[int(ch) for ch in line] for line in item["parity"]]
-                h = BitMatrix(np.array(rows, dtype=np.uint8))
-                labels.append(from_parity(h, name=item["name"]))
-        return cls(int(data["n_vars"]), int(data["n_checks"]),
-                   [tuple(e) for e in data["edges"]], labels,
+        try:
+            for item in data["labels"]:
+                if item is None:
+                    labels.append(None)
+                else:
+                    rows = [[int(ch) for ch in line] for line in item["parity"]]
+                    h = BitMatrix(np.array(rows, dtype=np.uint8))
+                    labels.append(from_parity(h, name=item["name"]))
+            n_vars, n_checks, edges = data["n_vars"], data["n_checks"], data["edges"]
+        except KeyError as exc:
+            raise InputError(f"graph JSON lacks the key {exc.args[0]!r}") from exc
+        return cls(int(n_vars), int(n_checks), [tuple(e) for e in edges], labels,
                    provenance=data.get("provenance", "imported"))
 
     @classmethod
@@ -489,18 +491,13 @@ def build_lift(g: TannerGraph, spec: LiftSpec) -> TannerGraph:
                        provenance="imported")
 
 
-def reduce_cover_codeword(word, base: TannerGraph, lift: TannerGraph | None = None,
-                          spec: LiftSpec | None = None) -> Pseudocodeword:
+def reduce_cover_codeword(word, base: TannerGraph, lift: TannerGraph) -> Pseudocodeword:
     """Cloud averages of a cover codeword, as an exact rational point.
 
-    Accepts either the built cover or the spec to build it from.  The word
-    must satisfy every cover check; the result always satisfies the base
-    graph's membership conditions.
+    `lift` is the built cover (see build_lift).  The word must satisfy every
+    cover check; the result always satisfies the base graph's membership
+    conditions.
     """
-    if lift is None:
-        if spec is None:
-            raise SpecIncomplete("need either the built cover or its spec")
-        lift = build_lift(base, spec)
     word = np.asarray(word, dtype=np.uint8) & 1
     if word.ndim != 1 or word.shape[0] != lift.n_vars:
         raise LengthMismatch(f"word length {word.shape[0] if word.ndim == 1 else '?'}"

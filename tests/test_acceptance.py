@@ -32,12 +32,6 @@ def ring(n):
     return tanner.from_parity_matrix(BitMatrix(h))
 
 
-def validate(g, values):
-    if g.all_simple:
-        return polytope.validate_simple(g, values)
-    return polytope.validate_generalized(g, values, level="exact")
-
-
 # -- 1: bound soundness over randomized instances ----------------------------------------
 
 
@@ -210,7 +204,7 @@ def test_ring_bound_met_with_equality():
         assert abs(rep.value - n) <= 1e-8
         weight, witness = polytope.min_awgn_pseudoweight(g)
         assert abs(weight - n) <= 1e-6
-        assert validate(g, witness.values).valid
+        assert polytope.validate(g, witness.values).valid
 
 
 # -- 3: regression constants ---------------------------------------------------------------
@@ -364,7 +358,7 @@ def test_all_small_cover_reductions_validate():
         points = all_cover_reductions(g)
         assert points
         for values in points:
-            assert validate(g, list(values)).valid, (g.n_vars, values)
+            assert polytope.validate(g, list(values)).valid, (g.n_vars, values)
         if any(0 < v < 1 for values in points for v in values):
             fractional_seen += 1
     # covers must contribute genuinely fractional points somewhere
@@ -389,14 +383,14 @@ def test_extremal_witnesses_validate_and_respect_distance():
         got = polytope.min_bsc_pseudoweight(g)
         if got is not None:
             weight, witness = got
-            assert validate(g, witness.values).valid
+            assert polytope.validate(g, witness.values).valid
             if dmin is not None:
                 assert weight <= dmin
                 compared += 1
         got = polytope.min_awgn_pseudoweight(g)
         if got is not None:
             weight, witness = got
-            assert validate(g, witness.values).valid
+            assert polytope.validate(g, witness.values).valid
             if dmin is not None:
                 assert weight <= dmin
     assert compared >= 10

@@ -2,16 +2,21 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expandercodes import bounds, cli, gf2, tanner
+from expandercodes import bounds, cli, gf2, graphs, subcodes, tanner
 from expandercodes.errors import InputError
 from expandercodes.gf2 import BitMatrix
 
 TRIANGLE = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -219,6 +224,19 @@ def test_verify_missing_input_exits_four(capsys):
     capsys.readouterr()
 
 
+def test_malformed_graph_json_exits_four(tmp_path, capsys):
+    # a missing top-level key, and a label object without its parity rows
+    graph = tanner.build_case_c(graphs.complete(4), subcodes.builtin("spc3")).to_json_dict()
+    del graph["labels"][0]["parity"]
+    docs = {"short.json": {"format": "tanner-graph", "n_vars": 3}, "label.json": graph}
+    for name, doc in docs.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert cli.main(["analyze", "--input", str(path)]) == 4, name
+    err = capsys.readouterr().err
+    assert "'labels'" in err and "'parity'" in err
+
+
 # -- simulate -----------------------------------------------------------------------
 
 
@@ -266,3 +284,27 @@ def test_subcodes_listing(capsys):
     assert {"hamming74", "spc3", "rep2"} <= names
     code, out = run(capsys, ["subcodes", "--format", "csv"])
     assert out.splitlines()[0] == "name,length,dimension,dmin,rate"
+
+
+# -- resources ----------------------------------------------------------------------
+
+
+def test_file_inputs_are_closed(tmp_path):
+    # every file the CLI reads is closed again: -X dev turns an unclosed
+    # file into a ResourceWarning, and -W makes that an error on stderr
+    base = tmp_path / "tri.txt"
+    base.write_text("0 1\n1 2\n2 0\n")
+    sub = tmp_path / "spc2.txt"
+    sub.write_text("11\n")
+    graph = tmp_path / "tri.alist"
+    graph.write_text(gf2.to_alist(BitMatrix(TRIANGLE)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for argv in (["construct", "--case", "c", "--base", str(base), "--subcode", str(sub)],
+                 ["analyze", "--input", str(graph)]):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                               "-m", "expandercodes.cli", *argv],
+                              cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stderr == "", argv

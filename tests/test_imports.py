@@ -1,5 +1,7 @@
-"""The package runs on numpy alone; scipy is a test-time cross-check only."""
+"""The package runs on numpy alone; scipy is a test-time cross-check only.
+Every import in it is used, and every error class in it is raised."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +26,49 @@ def test_package_import_leaves_scipy_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+# -- static dead-name checks --------------------------------------------------------
+
+PACKAGE = ROOT / "src" / "expandercodes"
+
+
+def parsed_modules():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, tree in parsed_modules().items():
+        if name == "__init__.py":
+            continue  # imports there are the public re-exports
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                   if bound not in used]
+    assert unused == []
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    modules = parsed_modules()
+    defined = [node.name for node in modules["errors.py"].body
+               if isinstance(node, ast.ClassDef)]
+    referenced = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    referenced.add(exc.id)
+            elif isinstance(node, ast.ClassDef):
+                referenced.update(base.id for base in node.bases
+                                  if isinstance(base, ast.Name))
+    assert [name for name in defined if name not in referenced] == []

@@ -5,8 +5,10 @@ generalized support search is cross-checked by a scipy float LP built from
 the raw definition (all local codewords, zero-forced off-support
 coordinates); the local row descriptions are checked against the exact
 multiplier layout and a hull LP over the codewords, and plain-check
-membership against every odd-set inequality; weight minima are pinned on
-cycle codes where every value is known in closed form.
+membership against every odd-set inequality; the paper's threshold,
+half-set and quarter-set lemmas are a reference function checked on random
+hull points; weight minima are pinned on cycle codes where every value is
+known in closed form.
 """
 
 import itertools
@@ -21,10 +23,10 @@ from scipy.optimize import linprog
 from expandercodes import graphs, polytope, subcodes, tanner
 from expandercodes.errors import (
     DegreeTooLarge,
+    DomainError,
     LengthMismatch,
     SearchSpaceTooLarge,
     SolverFailure,
-    SubcodeMissing,
     ZeroVector,
 )
 from expandercodes.gf2 import BitMatrix, code_params
@@ -73,20 +75,45 @@ def brute_min_stopping_size(g):
 # -- validation -----------------------------------------------------------------------
 
 
+def threshold_failures(c: int, local: list[Fraction], dmin: int) -> list[str]:
+    """Necessary inequalities at one subcode check: threshold, half-set,
+    quarter-set (worst subset = the largest entries)."""
+    fails = []
+    d = len(local)
+    total = sum(local)
+    for j, v in enumerate(local):
+        if (dmin - 1) * v > total - v:
+            fails.append(f"check {c}: threshold fails at local coordinate {j}")
+            break
+    desc = sorted(local, reverse=True)
+    t_half = dmin // 2
+    if t_half >= 1:
+        top = sum(desc[:t_half])
+        if top > total - top:
+            fails.append(f"check {c}: half-set condition fails")
+    t_quarter = dmin // 4
+    if t_quarter >= 1:
+        top = sum(desc[:t_quarter])
+        if 3 * top > total - top:
+            fails.append(f"check {c}: quarter-set condition fails")
+    return fails
+
+
+HULL_FAILURE = ("check 0: restriction outside local hull",)
+
+
 def test_validate_simple():
     g = triangle()
-    assert polytope.validate_simple(g, [1, 1, 1]).valid
-    assert polytope.validate_simple(g, [F(1, 2)] * 3).valid
-    assert polytope.validate_simple(g, [0, 0, 0]).valid
-    bad = polytope.validate_simple(g, [1, 0, 0])
+    assert polytope.validate(g, [1, 1, 1]).valid
+    assert polytope.validate(g, [F(1, 2)] * 3).valid
+    assert polytope.validate(g, [0, 0, 0]).valid
+    bad = polytope.validate(g, [1, 0, 0])
     assert not bad.valid
     assert any("sibling" in f for f in bad.failures)
-    box = polytope.validate_simple(g, [F(3, 2), F(3, 2), F(3, 2)])
+    box = polytope.validate(g, [F(3, 2), F(3, 2), F(3, 2)])
     assert not box.valid
     with pytest.raises(LengthMismatch):
-        polytope.validate_simple(g, [1, 1])
-    with pytest.raises(SubcodeMissing):
-        polytope.validate_simple(single_check(SPC3), [0, 0, 0])
+        polytope.validate(g, [1, 1])
 
 
 def test_validate_generalized_levels():
@@ -95,38 +122,56 @@ def test_validate_generalized_levels():
     # outside the local hull; the counting inequalities all pass (the
     # threshold one with equality: 2*1 <= 2).
     p = [1, 1, 0, 1, 0, 0, 0]
-    assert polytope.validate_generalized(g, p, level="necessary").valid
-    exact = polytope.validate_generalized(g, p, level="exact")
-    assert not exact.valid
-    assert any("hull" in f for f in exact.failures)
-    with pytest.raises(ValueError):
-        polytope.validate_generalized(g, p, level="strict")
+    assert threshold_failures(0, p, HAMMING.dmin) == []
+    rep = polytope.validate(g, p)
+    assert not rep.valid
+    assert rep.failures == HULL_FAILURE
 
 
 def test_validate_generalized_half_set_alone_is_too_weak():
     g = single_check(HAMMING)
-    # two lone ones: the half-set comparison 1 <= 1 holds, so only the
-    # threshold inequality catches this point at the necessary level
+    # two lone ones: the half-set comparison 1 <= 1 holds, so of the
+    # counting inequalities only the threshold one catches this point
     p = [1, 1, 0, 0, 0, 0, 0]
-    rep = polytope.validate_generalized(g, p, level="necessary")
+    assert threshold_failures(0, p, HAMMING.dmin) == [
+        "check 0: threshold fails at local coordinate 0"]
+    rep = polytope.validate(g, p)
     assert not rep.valid
-    assert all("threshold" in f for f in rep.failures)
+    assert rep.failures == HULL_FAILURE
 
 
 def test_validate_generalized_accepts_codewords_and_mixtures():
     g = single_check(HAMMING)
     words = HAMMING.nonzero_codewords()
     for w in words:
-        assert polytope.validate_generalized(g, [int(b) for b in w]).valid
+        assert polytope.validate(g, [int(b) for b in w]).valid
     mix = [(F(int(words[0, j])) + F(int(words[1, j]))) / 2 for j in range(7)]
-    assert polytope.validate_generalized(g, mix, level="exact").valid
+    assert polytope.validate(g, mix).valid
 
 
 def test_validate_generalized_plain_checks_still_checked():
     h = BitMatrix(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8))
     g = tanner.from_parity_matrix(h)
-    assert polytope.validate_generalized(g, [F(1, 2)] * 3).valid
-    assert not polytope.validate_generalized(g, [1, 0, 0]).valid
+    assert polytope.validate(g, [F(1, 2)] * 3).valid
+    assert not polytope.validate(g, [1, 0, 0]).valid
+
+
+@pytest.mark.parametrize("name", subcodes.catalog())
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_hull_points_pass_the_paper_counting_conditions(name, data):
+    # a random rational convex combination of the label's codewords, the
+    # zero word included, lies in the local hull; the paper's threshold,
+    # half-set and quarter-set lemmas say it then passes all three
+    label = subcodes.builtin(name)
+    words = label.codewords
+    weights = data.draw(st.lists(st.integers(0, 6), min_size=len(words),
+                                 max_size=len(words)).filter(any))
+    total = sum(weights)
+    p = [sum(F(wt * int(words[w, j]), total) for w, wt in enumerate(weights))
+         for j in range(label.length)]
+    assert polytope.validate(single_check(label), p).valid
+    assert threshold_failures(0, p, label.dmin) == []
 
 
 # -- weights ----------------------------------------------------------------------------
@@ -150,6 +195,17 @@ def test_awgn_weight_hand_values():
     assert polytope.awgn_weight([F(1, 2)] * 4) == 4
     with pytest.raises(ZeroVector):
         polytope.awgn_weight([0, 0])
+
+
+def test_weights_refuse_negative_entries():
+    for vals in ([1, -1], [2, -1], [0, F(-1, 3)]):
+        with pytest.raises(DomainError):
+            polytope.bsc_weight(vals)
+        with pytest.raises(DomainError):
+            polytope.awgn_weight(vals)
+    # validation still reports such coordinates rather than refusing them
+    rep = polytope.validate(triangle(), [1, -1, 0])
+    assert "coordinate 1 = -1 outside [0,1]" in rep.failures
 
 
 def test_weights_accept_pseudocodeword_objects():
@@ -189,9 +245,8 @@ def test_threshold_inequality_implies_subset_inequalities(vals):
     total = sum(vals)
     if any((label.dmin - 1) * v > total - v for v in vals):
         return
-    rep = polytope.validate_generalized(g, vals, level="necessary")
     assert all("half-set" not in f and "quarter-set" not in f
-               for f in rep.failures)
+               for f in threshold_failures(0, vals, label.dmin))
 
 
 # -- stopping sets -------------------------------------------------------------------
@@ -239,7 +294,7 @@ def test_min_stopping_set_generalized_single_hamming_check():
     assert len(got.support) == 3
     assert got.witness is not None
     assert got.witness.support() == got.support
-    assert polytope.validate_generalized(g, got.witness, level="exact").valid
+    assert polytope.validate(g, got.witness).valid
 
 
 def scipy_support_feasible(g, support):
@@ -309,8 +364,6 @@ def test_min_stopping_set_generalized_matches_scipy_oracle():
 def test_min_stopping_set_guards():
     with pytest.raises(SearchSpaceTooLarge):
         polytope.min_stopping_set(tanner.build_case_a(2, 4, 24, seed=0))
-    with pytest.raises(SubcodeMissing):
-        polytope.min_stopping_set(single_check(SPC3), kind="simple")
 
 
 # -- cone points ---------------------------------------------------------------------
@@ -321,7 +374,7 @@ def test_cone_point_with_support_on_triangle():
     p = polytope.cone_point_with_support(g, (0, 1, 2))
     assert p is not None
     assert p.support() == (0, 1, 2)
-    assert polytope.validate_simple(g, p).valid
+    assert polytope.validate(g, p).valid
     # two edges of a triangle leave a degree-1 check, so no exact support
     assert polytope.cone_point_with_support(g, (0, 1)) is None
 
@@ -332,7 +385,7 @@ def test_has_nonzero_cone_point_within():
     assert polytope.has_nonzero_cone_point_within(g, (0, 1)) is None
     p = polytope.has_nonzero_cone_point_within(g, (0, 1, 2))
     assert p is not None
-    assert polytope.validate_simple(g, p).valid
+    assert polytope.validate(g, p).valid
 
 
 def test_cone_point_with_support_labelled():
@@ -354,7 +407,7 @@ def test_min_bsc_on_cycle_codes():
     w, p = polytope.min_bsc_pseudoweight(triangle())
     assert w == 3
     assert polytope.bsc_weight(p).weight == 3
-    assert polytope.validate_simple(triangle(), p).valid
+    assert polytope.validate(triangle(), p).valid
     w, p = polytope.min_bsc_pseudoweight(square())
     assert w == 4
     assert polytope.bsc_weight(p).weight == 4
@@ -364,7 +417,7 @@ def test_min_bsc_single_hamming_check():
     g = single_check(HAMMING)
     w, p = polytope.min_bsc_pseudoweight(g)
     assert w == 3
-    assert polytope.validate_generalized(g, p, level="exact").valid
+    assert polytope.validate(g, p).valid
 
 
 def test_min_bsc_none_and_guard():
@@ -382,7 +435,7 @@ def test_min_bsc_at_most_dmin():
         if res is None:
             continue
         w, p = res
-        assert polytope.validate_simple(g, p).valid
+        assert polytope.validate(g, p).valid
         if dmin is not None:
             assert w <= dmin
 
@@ -397,7 +450,7 @@ def test_min_awgn_on_cycle_codes():
     g = tanner.build_case_c(graphs.complete(4), SPC3)
     w, p = polytope.min_awgn_pseudoweight(g)
     assert w == 3
-    assert polytope.validate_generalized(g, p, level="exact").valid
+    assert polytope.validate(g, p).valid
 
 
 def test_min_awgn_matches_cycle_space_on_prism():
@@ -448,7 +501,7 @@ def test_cover_reductions_validate_and_support_is_stopping():
             if not word.any():
                 continue
             p = tanner.reduce_cover_codeword(word, g, lift=lift)
-            assert polytope.validate_simple(g, p).valid
+            assert polytope.validate(g, p).valid
             support = set(p.support())
             if support:
                 assert is_simple_stopping(g, support)
@@ -479,12 +532,6 @@ SMALL_LABELS = [label for label in map(subcodes.builtin, subcodes.catalog())
 
 def plain_check(d):
     return tanner.from_parity_matrix(BitMatrix(np.ones((1, d), dtype=np.uint8)))
-
-
-def validate(g, p):
-    if g.all_simple:
-        return polytope.validate_simple(g, p)
-    return polytope.validate_generalized(g, p, level="exact")
 
 
 def multiplier_system(g, subset):
@@ -630,7 +677,7 @@ def test_cone_points_match_multiplier_reference_on_single_checks():
                 if got is not None:
                     assert got.support() == support
                     assert sum(got.values) == 1
-                    assert validate(g, got).valid, (g.labels, support)
+                    assert polytope.validate(g, got).valid, (g.labels, support)
 
 
 def test_bsc_top_set_optima_match_multiplier_reference():
@@ -692,7 +739,7 @@ def test_min_bsc_equals_least_vertex_weight():
         weight, witness = polytope.min_bsc_pseudoweight(g)
         assert weight == min(polytope.bsc_weight(v).weight for v in enumerate_vertices(section))
         assert polytope.bsc_weight(witness).weight == weight
-        assert validate(g, witness).valid, g.labels
+        assert polytope.validate(g, witness).valid, g.labels
 
 
 @settings(max_examples=150, deadline=None)
@@ -701,23 +748,22 @@ def test_min_bsc_equals_least_vertex_weight():
 def test_plain_check_and_spc_label_agree(local):
     d = len(local)
     want = in_parity_polytope(local)
-    assert polytope.validate_simple(plain_check(d), local).valid == want
-    assert polytope.validate_generalized(plain_check(d), local, level="necessary").valid == want
+    assert polytope.validate(plain_check(d), local).valid == want
     label = single_check(subcodes.builtin(f"spc{d}"))
-    assert polytope.validate_generalized(label, local).valid == want
+    assert polytope.validate(label, local).valid == want
     assert reference_in_hull(subcodes.builtin(f"spc{d}"), local) == want
 
 
 def test_all_ones_is_in_the_parity_polytope_exactly_for_even_degree():
     for d in range(2, 8):
         ones = [1] * d
-        rep = polytope.validate_simple(plain_check(d), ones)
+        rep = polytope.validate(plain_check(d), ones)
         assert rep.valid == (d % 2 == 0)
         label = single_check(subcodes.builtin(f"spc{d}"))
-        assert polytope.validate_generalized(label, ones).valid == (d % 2 == 0)
+        assert polytope.validate(label, ones).valid == (d % 2 == 0)
     # the odd-set failure names the whole check when no single coordinate
     # exceeds its siblings
-    rep = polytope.validate_simple(plain_check(3), [1, 1, 1])
+    rep = polytope.validate(plain_check(3), [1, 1, 1])
     assert rep.failures == ("check 0: odd-set inequality fails on [0, 1, 2]",)
 
 
@@ -727,7 +773,7 @@ def test_all_ones_is_in_the_parity_polytope_exactly_for_even_degree():
                              min_size=label.length, max_size=label.length))))
 def test_hull_rows_match_hull_lp(case):
     label, local = case
-    got = polytope.validate_generalized(single_check(label), local).valid
+    got = polytope.validate(single_check(label), local).valid
     assert got == reference_in_hull(label, local)
 
 

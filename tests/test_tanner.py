@@ -198,14 +198,14 @@ def test_reduce_identity_lift_returns_base_word():
     spec = tanner.identity_lift(g, 3)
     # copy t of variable v sits at v*3 + t, so a lifted word repeats per cloud
     word = np.repeat(np.array([1, 1, 1], dtype=np.uint8), 3)
-    p = tanner.reduce_cover_codeword(word, g, spec=spec)
+    p = tanner.reduce_cover_codeword(word, g, tanner.build_lift(g, spec))
     assert p.values == (Fraction(1), Fraction(1), Fraction(1))
 
 
 def test_reduce_degree_one_is_identity():
     g = triangle_cycle_graph()
     spec = tanner.identity_lift(g, 1)
-    p = tanner.reduce_cover_codeword([1, 1, 1], g, spec=spec)
+    p = tanner.reduce_cover_codeword([1, 1, 1], g, tanner.build_lift(g, spec))
     assert p.values == (Fraction(1), Fraction(1), Fraction(1))
     assert p.certificate == "cover-degree-1"
 
@@ -216,32 +216,19 @@ def test_reduce_fractional_point():
     g = triangle_cycle_graph()
     spec = tanner.identity_lift(g, 2)
     word = np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)
-    p = tanner.reduce_cover_codeword(word, g, spec=spec)
+    p = tanner.reduce_cover_codeword(word, g, tanner.build_lift(g, spec))
     assert p.values == (Fraction(1, 2),) * 3
-
-
-def test_reduce_spec_and_lift_agree():
-    g = tanner.build_case_c(graphs.complete(4), SPC3)
-    spec = tanner.random_lift(g, 2, seed=7)
-    lift = tanner.build_lift(g, spec)
-    from expandercodes.gf2 import nullspace_basis
-    word = nullspace_basis(lift.to_parity_matrix())[0]
-    a = tanner.reduce_cover_codeword(word, g, spec=spec)
-    b = tanner.reduce_cover_codeword(word, g, lift=lift)
-    assert a.values == b.values
 
 
 def test_reduce_rejects_non_codeword():
     g = triangle_cycle_graph()
     spec = tanner.identity_lift(g, 2)
     with pytest.raises(NotACodewordInCover):
-        tanner.reduce_cover_codeword([1, 0, 0, 0, 0, 0], g, spec=spec)
+        tanner.reduce_cover_codeword([1, 0, 0, 0, 0, 0], g, tanner.build_lift(g, spec))
 
 
 def test_reduce_rejects_bad_input():
     g = triangle_cycle_graph()
     from expandercodes.errors import LengthMismatch
     with pytest.raises(LengthMismatch):
-        tanner.reduce_cover_codeword([1, 1], g, spec=tanner.identity_lift(g, 2))
-    with pytest.raises(SpecIncomplete):
-        tanner.reduce_cover_codeword([1, 1, 1], g)
+        tanner.reduce_cover_codeword([1, 1], g, tanner.build_lift(g, tanner.identity_lift(g, 2)))
