@@ -23,14 +23,18 @@ print("delta =", profile.delta, "witnessed by subset", profile.witness)
 # The subset scan is exponential, so a budget guard refuses sizes that
 # would silently take hours.  Raise the budget only on purpose.
 
-# Second eigenvalues come from LAPACK's symmetric eigensolver plus an error
-# radius that accounts for every rounding in its own evaluation: the returned
-# interval is guaranteed to contain the true value.
+# Eigenvalues come from LAPACK's symmetric eigensolver plus an error radius
+# that accounts for every rounding in its own evaluation: each true value lies
+# within the radius of the reported one.
 pet = graphs.named_graph("petersen")
 report = spectral.spectrum(pet.adjacency())
 print("Petersen eigenvalues:", [round(v, 6) for v in report.eigenvalues[:4]],
       "...")
-mu = spectral.certified_mu_upper(report)
+
+# The bounds need mu, the largest |eigenvalue| other than the degree 3.  Its
+# eigenvector is all-ones, so 10 A - 3 J (J all ones) has the same spectrum
+# times 10, with 3 replaced by 0.  Its top magnitude, certified, is 10 mu.
+mu = spectral.certified_mu(10 * pet.adjacency() - 3, 10)
 print("certified upper bound on mu:", float(mu), "(true value is 2)")
 
 # Alon and Chung's lemma: a d-regular graph whose second eigenvalue is mu

@@ -25,17 +25,11 @@ from .errors import (
     InconsistentParameters,
     InputError,
     NotRegular,
-    SolverFailure,
 )
 from .gf2 import min_distance_exhaustive
-from .expansion import vertex_expansion_profile
+from .expansion import biregular_mu, regular_mu, vertex_expansion_profile
 from .lpsolve import _frac
-from .spectral import (
-    certified_bipartite_mu_upper,
-    certified_mu_upper,
-    hht_spectrum,
-    spectrum,
-)
+from .spectral import certified_mu
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,9 +199,9 @@ def tanner_awgn_bound(g) -> BoundReport:
     for a connected (j, m)-biregular all-parity graph, where mu1 = j*m and
     mu2 are the two largest eigenvalues of H H^T.
 
-    mu1 is used in exact form (it equals j*m whenever the hypotheses hold;
-    the float spectrum is cross-checked); mu2 enters as a certified upper
-    estimate, which can only lower the bound.
+    mu1 = j*m is exact, with the all-ones eigenvector; mu2 is the certified
+    top magnitude of M H H^T - j m J over M (M checks), an upper estimate,
+    which can only lower the bound.
     """
     hyps = []
     regular = True
@@ -221,12 +215,9 @@ def tanner_awgn_bound(g) -> BoundReport:
     hyps.append(Hypothesis("graph is connected", g.is_connected()))
     if not all(h.holds for h in hyps):
         return _report("T5.awgn", "awgn_pseudoweight", None, hyps)
-    report = hht_spectrum(g.to_parity_matrix())
+    h = g.to_parity_matrix().bits.astype(float)
     mu1_exact = Fraction(j * m)
-    if abs(report.mu1 - j * m) > 1e-6 * max(1, j * m):
-        raise SolverFailure(
-            f"leading eigenvalue {report.mu1} is far from j*m = {j * m}")
-    mu2 = certified_mu_upper(report)
+    mu2 = certified_mu(len(h) * (h @ h.T) - j * m, len(h))
     if mu2 >= mu1_exact:
         # numerically degenerate spectrum; the bound needs mu1 > mu2
         hyps.append(Hypothesis("mu1 > mu2", False))
@@ -365,18 +356,15 @@ def graph_bounds(g, alpha=None, subset_budget=None) -> tuple[tuple[BoundReport, 
     elif g.provenance == "case_c":
         base = tanner_mod.reconstruct_base(g)
         d = base.regular_degree()
-        rep = spectrum(base.adjacency())
-        mu = certified_mu_upper(rep)
-        context.update({"base_n": base.n, "d": d, "mu_upper": str(mu),
-                        "mu_float": rep.mu2})
+        mu = regular_mu(base)
+        context.update({"base_n": base.n, "d": d, "mu_upper": str(mu)})
         reports += list(case_c_bounds(base.n, d, mu, g.labels[0].dmin))
     elif g.provenance == "case_d":
         base = tanner_mod.reconstruct_bipartite_base(g)
         c, d = base.biregular_degrees()
-        rep = spectrum(base.full_adjacency())
-        mu, pair_found = certified_bipartite_mu_upper(rep)
+        mu = biregular_mu(base)
         context.update({"m": base.n_left, "n": base.n_right, "c": c, "d": d,
-                        "mu_upper": str(mu), "pair_found": pair_found})
+                        "mu_upper": str(mu)})
         reports += list(case_d_bounds(c, d, base.n_left, base.n_right, mu,
                                       g.labels[0].dmin,
                                       g.labels[base.n_left].dmin))

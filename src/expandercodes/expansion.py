@@ -136,23 +136,29 @@ class EdgeBoundReport:
     worst: tuple
 
 
+def regular_mu(g: Graph) -> Fraction:
+    """Certified upper bound on the largest nontrivial |eigenvalue| of a
+    d-regular graph: the top magnitude of n A - d J, over n."""
+    from .spectral import certified_mu
+    return certified_mu(g.n * g.adjacency() - g.regular_degree(), g.n)
+
+
 def verify_alon_chung(g: Graph, mu=None, budget: int = SUBSET_BUDGET
                       ) -> EdgeBoundReport:
     """Check the internal-edge bound on every nonempty subset, exactly.
 
-    With mu omitted, a certified upper estimate of the second adjacency
-    eigenvalue is used; overestimating mu only loosens the bound, so a pass
-    stays meaningful.  The bound depends on the subset only through its size,
-    so subsets are screened with numpy against per-size integer thresholds;
-    the excess is then evaluated in rationals at the per-size maxima.
+    With mu omitted, `regular_mu(g)` is used; overestimating mu only loosens
+    the bound, so a pass stays meaningful.  The bound depends on the subset
+    only through its size, so subsets are screened with numpy against
+    per-size integer thresholds; the excess is then evaluated in rationals at
+    the per-size maxima.
     """
     d = g.regular_degree()
     n = g.n
     if (1 << n) - 1 > budget:
         raise SubsetSpaceTooLarge(f"2^{n} subsets exceed the budget ({budget})")
     if mu is None:
-        from .spectral import certified_mu_upper, spectrum
-        mu = certified_mu_upper(spectrum(g.adjacency()))
+        mu = regular_mu(g)
     mu = _frac(mu)
     bounds = [alon_chung_bound(Fraction(s, n), n, d, mu) for s in range(n + 1)]
     # smallest integer count that violates the bound for a size-s subset
@@ -210,12 +216,22 @@ def janwa_lal_bound(size_s: int, size_t: int, c: int, d: int, m: int, mu
     return Fraction(d, m) * size_s * size_t + (mu / 2) * (size_s + size_t)
 
 
+def biregular_mu(bg: BipartiteGraph) -> Fraction:
+    """Certified upper bound on the largest nontrivial |eigenvalue| of a
+    (c, d)-biregular bipartite graph with m left vertices: the top magnitude
+    of m A - d K, over m, where K is all ones on the off-diagonal blocks."""
+    from .spectral import certified_mu
+    _, d = bg.biregular_degrees()
+    m = bg.n_left
+    left = np.arange(m + bg.n_right) < m
+    return certified_mu(m * bg.full_adjacency() - d * np.not_equal.outer(left, left), m)
+
+
 def verify_janwa_lal(bg: BipartiteGraph, mu=None, budget: int = SUBSET_BUDGET
                      ) -> EdgeBoundReport:
     """Check the crossing-edge bound on every nonempty S x T pair, exactly.
 
-    With mu omitted, a certified upper estimate of the nontrivial second
-    eigenvalue of the bipartite adjacency matrix is used.  Same per-size
+    With mu omitted, `biregular_mu(bg)` is used.  Same per-size
     threshold screen as the internal-edge verifier, with a (|S|, |T|) table.
     """
     c, d = bg.biregular_degrees()
@@ -224,8 +240,7 @@ def verify_janwa_lal(bg: BipartiteGraph, mu=None, budget: int = SUBSET_BUDGET
     if pairs > budget:
         raise SubsetSpaceTooLarge(f"{pairs} subset pairs exceed the budget ({budget})")
     if mu is None:
-        from .spectral import certified_bipartite_mu_upper, spectrum
-        mu, _ = certified_bipartite_mu_upper(spectrum(bg.full_adjacency()))
+        mu = biregular_mu(bg)
     mu = _frac(mu)
     bounds = [[janwa_lal_bound(s, t, c, d, m, mu) for t in range(n + 1)]
               for s in range(m + 1)]

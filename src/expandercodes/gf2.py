@@ -42,17 +42,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(np.eye(n, dtype=np.uint8))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def from_rows(cls, rows) -> "BitMatrix":
-        return cls(np.array(rows, dtype=np.uint8))
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.bits.copy())
-
     def mul_vec(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=np.uint8) & 1
         if v.shape != (self.cols,):

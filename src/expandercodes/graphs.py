@@ -17,6 +17,25 @@ from .errors import InfeasibleDegrees, InputError, NotRegular, SimplificationFai
 RESAMPLE_BUDGET = 10_000
 
 
+def connected(n: int, edges) -> bool:
+    """Whether the undirected graph on vertices 0..n-1 with the given (u, v)
+    edges is connected, by breadth-first search from vertex 0."""
+    if n == 0:
+        return True
+    adj = [[] for _ in range(n)]
+    for (u, v) in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    frontier = [0]
+    for u in frontier:
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == n
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1 with a fixed edge order."""
@@ -66,21 +85,7 @@ class Graph:
         return a
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        adj = [[] for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return connected(self.n, self.edges)
 
 
 def complete(n: int) -> Graph:
@@ -205,22 +210,8 @@ class BipartiteGraph:
         return a
 
     def is_connected(self) -> bool:
-        total = self.n_left + self.n_right
-        if total == 0:
-            return True
-        adj = [[] for _ in range(total)]
-        for (u, v) in self.edges:
-            adj[u].append(self.n_left + v)
-            adj[self.n_left + v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == total
+        m = self.n_left
+        return connected(m + self.n_right, ((u, m + v) for (u, v) in self.edges))
 
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:

@@ -2,10 +2,22 @@
 
 Eigenpairs come from LAPACK (`numpy.linalg.eigh`); the error radius is an
 a-posteriori enclosure that accounts for every rounding in its own
-evaluation, so downstream exact-rational comparisons can use a sound upper
-estimate of the second eigenvalue.  Eigenvalues are ordered by decreasing
-absolute value (ties, magnitudes within twice the error radius: positive
-first), which is the ordering the spectral bounds consume.
+evaluation.  Eigenvalues are ordered by decreasing absolute value (ties,
+magnitudes within twice the error radius: positive first).
+
+The spectral bounds need mu, the largest nontrivial |eigenvalue|.  Every
+trivial eigenvector is known exactly, so each caller removes it from an
+integer matrix and reads one certified top magnitude with `certified_mu`;
+no eigenvalue is matched or dropped by a float test.
+- d-regular graph on n vertices: the all-ones vector carries d, and
+  n A - d J has spectrum n * {0, lambda_2, ..., lambda_n}.
+- (c, d)-biregular bipartite graph, m left vertices: (sqrt(c) 1, +-sqrt(d) 1)
+  carry +-sqrt(cd), and their rank-2 removal is exactly (d/m) K, with K all
+  ones on the two off-diagonal blocks; use m A - d K.
+- H H^T of a (j, m)-biregular parity matrix with M rows: the all-ones
+  vector carries j m; use M H H^T - j m J.
+Only the global vectors are removed: in a disconnected graph every further
+component keeps its d (or +-sqrt(cd)), a genuine nontrivial eigenvalue.
 
 The enclosure.  With (w, V) from eigh, let e bound ||V^T A V - diag(w)||_F
 and delta bound ||V^T V - I||_F.  Weyl's inequality on V^T A V = diag(w) + E
@@ -172,37 +184,13 @@ def hht_spectrum(h) -> SpectrumReport:
     return spectrum(bits @ bits.T)
 
 
-def nontrivial_second_eigenvalue(report: SpectrumReport,
-                                 pair_tol: float = 1e-6) -> tuple[float, bool]:
-    """Second-largest |eigenvalue| after removing one +/-lambda_max pair.
+def certified_mu(a, scale) -> Fraction:
+    """Sound rational upper bound on max |eigenvalue of a| / scale.
 
-    The adjacency spectrum of a connected bipartite graph pairs lambda_max
-    with -lambda_max; both are structural, so the expansion-relevant quantity
-    is the next one down.  Exactly one pair is removed (multiplicities beyond
-    the pair are genuine).  Returns (value, pair_found).
+    Callers pass an integer matrix with the trivial eigenvalues already
+    deflated exactly, so that its top magnitude is scale * mu.  Integer
+    entries are exact in float, so the certified radius covers the matrix
+    itself and the result is a true upper bound on mu.
     """
-    vals = list(report.eigenvalues)
-    if len(vals) < 2:
-        return 0.0, False
-    lam = vals[0]
-    scale = max(1.0, abs(lam))
-    for i in range(1, len(vals)):
-        if abs(vals[i] + lam) <= pair_tol * scale:
-            rest = vals[1:i] + vals[i + 1:]
-            return (max(abs(v) for v in rest) if rest else 0.0), True
-    return abs(vals[1]), False
-
-
-def certified_mu_upper(report: SpectrumReport):
-    """Sound rational upper estimate of mu2: reported value plus the
-    certified error.  Exact float-to-rational conversion, no rounding."""
-    return Fraction(report.mu2) + Fraction(report.error_bound)
-
-
-def certified_bipartite_mu_upper(report: SpectrumReport, pair_tol: float = 1e-6):
-    """Sound rational upper estimate of the nontrivial second eigenvalue of
-    a bipartite adjacency spectrum.  Returns (value, pair_found); when no
-    -lambda_max partner is found the estimate falls back to mu2, which is
-    still an upper bound."""
-    mu, pair_found = nontrivial_second_eigenvalue(report, pair_tol)
-    return Fraction(mu) + Fraction(report.error_bound), pair_found
+    report = spectrum(a)
+    return (Fraction(abs(report.mu1)) + Fraction(report.error_bound)) / scale

@@ -35,7 +35,7 @@ from .errors import (
     SubcodeLengthMismatch,
 )
 from .gf2 import BitMatrix
-from .graphs import BipartiteGraph, Graph, random_biregular
+from .graphs import BipartiteGraph, Graph, connected, random_biregular
 from .polytope import Pseudocodeword
 from .subcodes import SubcodeSpec, from_parity
 
@@ -137,20 +137,8 @@ class TannerGraph:
         return cs.pop(), ds.pop()
 
     def is_connected(self) -> bool:
-        total = self.n_vars + self.n_checks
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            if node < self.n_vars:
-                nbrs = (self.n_vars + c for c in self.var_checks(node))
-            else:
-                nbrs = iter(self.check_vars(node - self.n_vars))
-            for w in nbrs:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == total
+        return connected(self.n_vars + self.n_checks,
+                         ((v, self.n_vars + c) for v, c, _, _ in self.edges))
 
     def to_parity_matrix(self) -> BitMatrix:
         """Parity-check matrix: labelled checks expand to one row per local
@@ -220,19 +208,26 @@ class TannerGraph:
     def from_json_dict(cls, data: dict) -> "TannerGraph":
         if data.get("format") != "tanner-graph":
             raise InputError("missing or wrong format marker")
-        labels = []
-        try:
-            for item in data["labels"]:
-                if item is None:
-                    labels.append(None)
-                else:
-                    rows = [[int(ch) for ch in line] for line in item["parity"]]
-                    h = BitMatrix(np.array(rows, dtype=np.uint8))
-                    labels.append(from_parity(h, name=item["name"]))
-            n_vars, n_checks, edges = data["n_vars"], data["n_checks"], data["edges"]
-        except KeyError as exc:
-            raise InputError(f"graph JSON lacks the key {exc.args[0]!r}") from exc
-        return cls(int(n_vars), int(n_checks), [tuple(e) for e in edges], labels,
+
+        def label(item):
+            if item is None:
+                return None
+            rows = [[int(ch) for ch in line] for line in item["parity"]]
+            return from_parity(BitMatrix(np.array(rows, dtype=np.uint8)), name=item["name"])
+
+        readers = {"labels": lambda labels: [label(item) for item in labels],
+                   "n_vars": int, "n_checks": int,
+                   "edges": lambda edges: [(int(v), int(c), int(vs), int(cs))
+                                           for v, c, vs, cs in edges]}
+        fields = {}
+        for key, read in readers.items():
+            try:
+                fields[key] = read(data[key])
+            except KeyError as exc:
+                raise InputError(f"graph JSON lacks the key {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"graph JSON key {key!r} has a malformed value: {exc}") from exc
+        return cls(fields["n_vars"], fields["n_checks"], fields["edges"], fields["labels"],
                    provenance=data.get("provenance", "imported"))
 
     @classmethod

@@ -225,16 +225,20 @@ def test_verify_missing_input_exits_four(capsys):
 
 
 def test_malformed_graph_json_exits_four(tmp_path, capsys):
-    # a missing top-level key, and a label object without its parity rows
+    # a missing top-level key, a label object without its parity rows, and
+    # three values of the wrong type; each error names the key at fault
     graph = tanner.build_case_c(graphs.complete(4), subcodes.builtin("spc3")).to_json_dict()
-    del graph["labels"][0]["parity"]
-    docs = {"short.json": {"format": "tanner-graph", "n_vars": 3}, "label.json": graph}
-    for name, doc in docs.items():
+    no_parity = [{"name": graph["labels"][0]["name"]}] + graph["labels"][1:]
+    docs = {"short.json": ({"format": "tanner-graph", "n_vars": 3}, "'labels'"),
+            "label.json": ({**graph, "labels": no_parity}, "'parity'"),
+            "names.json": ({**graph, "labels": ["spc3"] * len(no_parity)}, "'labels'"),
+            "edges.json": ({**graph, "edges": 5}, "'edges'"),
+            "null.json": ({**graph, "labels": None}, "'labels'")}
+    for name, (doc, key) in docs.items():
         path = tmp_path / name
         path.write_text(json.dumps(doc))
         assert cli.main(["analyze", "--input", str(path)]) == 4, name
-    err = capsys.readouterr().err
-    assert "'labels'" in err and "'parity'" in err
+        assert key in capsys.readouterr().err, name
 
 
 # -- simulate -----------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_min_distance_matches_brute_force():
 
 
 def test_min_distance_dimension_guard():
-    m = BitMatrix.zeros(1, 26)  # kernel dimension 26 > 24
+    m = BitMatrix(np.zeros((1, 26), dtype=np.uint8))  # kernel dimension 26 > 24
     with pytest.raises(DimensionTooLarge):
         gf2.min_distance_exhaustive(m)
 

@@ -72,3 +72,18 @@ def test_every_error_class_is_raised_or_subclassed():
                 referenced.update(base.id for base in node.bases
                                   if isinstance(base, ast.Name))
     assert [name for name in defined if name not in referenced] == []
+
+
+def test_no_float_tolerance_decides_a_result():
+    # A float literal in (0, 1e-3) is a tolerance.  The one allowed is
+    # spectral.SYMMETRY_REL, a check on input matrices; results are decided
+    # exactly.
+    found = []
+    for name, tree in parsed_modules().items():
+        allowed = {id(node.value) for node in tree.body
+                   if name == "spectral.py" and isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["SYMMETRY_REL"]}
+        found += [f"{name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0 < node.value < 1e-3 and id(node) not in allowed]
+    assert found == []

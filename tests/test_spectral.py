@@ -5,6 +5,10 @@ cube) pin the reported values.  Eigenpairs come from LAPACK, so a LAPACK
 comparison is no independent check; the reference for the certified radius
 is the exact-rational test below, which recomputes in Fraction arithmetic the
 two residual norms the enclosure bounds in floating point.
+
+The certified mu of a deflated matrix is checked against the float reading
+it replaced: the second magnitude of a regular spectrum, and the float
++/-lambda pair matching, `nontrivial_second_eigenvalue`, of a bipartite one.
 """
 
 import math
@@ -12,11 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from expandercodes import graphs, spectral
-from expandercodes.errors import DomainError, NotSymmetric
+from expandercodes import expansion, graphs, spectral
+from expandercodes.errors import DomainError, NotSymmetric, SimplificationFailed
 
 
 def abs_sorted(values):
@@ -129,53 +133,153 @@ def test_determinism():
     assert r1 == r2
 
 
+def nontrivial_second_eigenvalue(report, pair_tol=1e-6):
+    """Float reference: second-largest |eigenvalue| after removing one
+    +/-lambda_max pair, matched within pair_tol.  Returns (value, found)."""
+    vals = list(report.eigenvalues)
+    if len(vals) < 2:
+        return 0.0, False
+    lam = vals[0]
+    scale = max(1.0, abs(lam))
+    for i in range(1, len(vals)):
+        if abs(vals[i] + lam) <= pair_tol * scale:
+            rest = vals[1:i] + vals[i + 1:]
+            return (max(abs(v) for v in rest) if rest else 0.0), True
+    return abs(vals[1]), False
+
+
+def union(g, h):
+    """Disjoint union of two graphs of the same kind."""
+    if isinstance(g, graphs.Graph):
+        return graphs.Graph(g.n + h.n, g.edges + tuple(
+            (u + g.n, v + g.n) for u, v in h.edges))
+    return graphs.BipartiteGraph(
+        g.n_left + h.n_left, g.n_right + h.n_right,
+        g.edges + tuple((u + g.n_left, v + g.n_right) for u, v in h.edges))
+
+
+def bipartite_cycle(k):
+    """The 2k-cycle as a (2, 2)-biregular bipartite graph."""
+    return graphs.BipartiteGraph(k, k, tuple(sorted(
+        {(i, i) for i in range(k)} | {(i, (i + 1) % k) for i in range(k)})))
+
+
+def bipartite_cube():
+    """Q3 split into its even- and odd-weight vertices."""
+    even = [u for u in range(8) if u.bit_count() % 2 == 0]
+    odd = [u for u in range(8) if u.bit_count() % 2 == 1]
+    edges = [(u, v) if u in even else (v, u) for u, v in graphs.cube().edges]
+    return graphs.BipartiteGraph(4, 4, tuple(sorted(
+        (even.index(u), odd.index(v)) for u, v in edges)))
+
+
 def test_bipartite_pair_removal():
     # K_{3,3}: +/-3 and four zeros; the nontrivial second eigenvalue is 0.
-    rep = spectral.spectrum(graphs.complete_bipartite(3, 3).full_adjacency())
-    mu, found = spectral.nontrivial_second_eigenvalue(rep)
-    assert found
-    assert mu == pytest.approx(0.0, abs=1e-9)
+    mu = expansion.biregular_mu(graphs.complete_bipartite(3, 3))
+    assert 0 <= mu < Fraction(1, 10**9)
     # Cube is bipartite too: after removing +/-3 the next is 1.
-    rep = spectral.spectrum(graphs.cube().adjacency())
-    mu, found = spectral.nontrivial_second_eigenvalue(rep)
-    assert found
-    assert mu == pytest.approx(1.0, abs=1e-9)
+    mu = expansion.biregular_mu(bipartite_cube())
+    assert 1 <= mu < 1 + Fraction(1, 10**9)
 
 
 def test_pair_removal_absent_for_complete_graph():
-    rep = spectral.spectrum(graphs.complete(5).adjacency())
-    mu, found = spectral.nontrivial_second_eigenvalue(rep)
-    assert not found
-    assert mu == pytest.approx(1.0, abs=1e-9)
+    # K_5 is not bipartite: only the degree 4 goes, the -1s stay.
+    mu = expansion.regular_mu(graphs.complete(5))
+    assert 1 <= mu < 1 + Fraction(1, 10**9)
 
 
 def test_exactly_one_pair_removed():
-    # diag(3, -3, -3): only one -3 partners with the top value, the other
-    # survives as a genuine second eigenvalue.
-    rep = spectral.spectrum(np.diag([3.0, -3.0, -3.0]))
-    mu, found = spectral.nontrivial_second_eigenvalue(rep)
-    assert found
-    assert mu == pytest.approx(3.0, abs=1e-9)
+    # Two copies of K_{2,3}: one +/-sqrt(6) pair is trivial, the second
+    # copy's pair is a genuine nontrivial eigenvalue of the disconnected base.
+    k23 = graphs.complete_bipartite(2, 3)
+    mu = expansion.biregular_mu(union(k23, k23))
+    assert 6 <= mu ** 2 and float(mu) <= math.sqrt(6) + 1e-9
+    # the same for two random (2, 3)-biregular bases with c != d
+    bg = union(graphs.random_biregular(6, 2, 3, seed=1),
+               graphs.random_biregular(6, 2, 3, seed=2))
+    mu = expansion.biregular_mu(bg)
+    assert 6 <= mu ** 2 and float(mu) <= math.sqrt(6) + 1e-9
 
 
 def test_certified_upper_bounds_true_value():
     cases = [
-        (graphs.complete(7).adjacency(), Fraction(1)),
-        (graphs.petersen().adjacency(), Fraction(2)),
-        (graphs.cycle(4).adjacency(), Fraction(2)),  # bipartite: -2 counts
+        (graphs.complete(7), Fraction(1)),
+        (graphs.petersen(), Fraction(2)),
+        (graphs.cycle(4), Fraction(2)),  # bipartite: -2 counts
     ]
-    for a, true_mu2 in cases:
-        upper = spectral.certified_mu_upper(spectral.spectrum(a))
+    for g, true_mu in cases:
+        upper = expansion.regular_mu(g)
         assert isinstance(upper, Fraction)
-        assert upper >= true_mu2
-        assert upper - true_mu2 < Fraction(1, 10**6)
+        assert true_mu <= upper < true_mu + Fraction(1, 10**9)
 
 
 def test_certified_bipartite_upper():
-    rep = spectral.spectrum(graphs.complete_bipartite(2, 4).full_adjacency())
-    upper, found = spectral.certified_bipartite_mu_upper(rep)
-    assert found
-    assert Fraction(0) <= upper < Fraction(1, 10**6)
+    # K_{a,b} has no nontrivial eigenvalue at all.
+    for a in range(1, 6):
+        for b in range(1, 6):
+            upper = expansion.biregular_mu(graphs.complete_bipartite(a, b))
+            assert isinstance(upper, Fraction)
+            assert 0 <= upper < Fraction(1, 10**9)
+
+
+def test_ring_parity_mu2():
+    # A (2, 2) ring of n checks: H H^T = 2I + A(C_n), with mu1 = 4 on the
+    # all-ones vector and mu2 = 2 + 2 cos(2 pi / n).
+    for n in range(3, 12):
+        h = np.zeros((n, n))
+        for i in range(n):
+            h[i, i] = h[i, (i + 1) % n] = 1
+        mu2 = spectral.certified_mu(n * (h @ h.T) - 4, n)
+        true = 2 + 2 * math.cos(2 * math.pi / n)
+        assert true - 1e-15 <= mu2 <= true + 1e-9  # 1e-15: rounding of cos
+
+
+@st.composite
+def regular_or_biregular(draw):
+    kind = draw(st.sampled_from(["regular", "union", "cycle", "cube",
+                                 "biregular", "biunion", "complete"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind in ("regular", "union"):
+        n = draw(st.integers(4, 12))
+        d = draw(st.integers(2, min(5, n - 1)).filter(lambda d: n * d % 2 == 0))
+        g = graphs.random_regular(n, d, seed)
+        if kind == "union":
+            g = union(g, graphs.random_regular(n, d, seed + 1))
+        return g
+    if kind == "cycle":
+        return bipartite_cycle(draw(st.integers(2, 12)))
+    if kind == "cube":
+        return draw(st.sampled_from([graphs.cube(), bipartite_cube()]))
+    if kind == "complete":
+        return graphs.complete_bipartite(draw(st.integers(1, 6)),
+                                         draw(st.integers(1, 6)))
+    c, d, t = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    try:
+        g = graphs.random_biregular(d * t, c, d, seed)
+        if kind == "biunion":
+            g = union(g, graphs.random_biregular(d * t, c, d, seed + 1))
+    except SimplificationFailed:
+        reject()
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(regular_or_biregular())
+def test_certified_mu_matches_float_reference(g):
+    # The references are the float readings the certificate replaced: the
+    # second magnitude of a regular spectrum, the pair-matched value of a
+    # bipartite one.  They carry eigh rounding, allowed below.
+    if isinstance(g, graphs.Graph):
+        a = g.adjacency()
+        mu, ref = expansion.regular_mu(g), spectral.spectrum(a).mu2
+    else:
+        a = g.full_adjacency()
+        mu = expansion.biregular_mu(g)
+        ref, found = nontrivial_second_eigenvalue(spectral.spectrum(a))
+        assert found
+    rounding = 8 * len(a) * np.finfo(float).eps * max(1.0, a.sum(axis=1).max())
+    assert isinstance(mu, Fraction)
+    assert Fraction(ref) - Fraction(rounding) <= mu <= Fraction(ref) + Fraction(1, 10**9)
 
 
 def test_hht_spectrum_matches_gram_matrix():
