@@ -7,24 +7,30 @@ parity checks this is the classic single-unknown rule; for labelled checks
 it recovers everything whenever the local erasure count is below the local
 minimum distance, and often more.
 
-Each local solve is a cached rule.  For a check's parity rows and its local
-erased mask, one reduction gives a dependency mask per determined position
-(its value is the parity of the known bits under the mask) and the
-consistency masks the known bits must satisfy; the rule is computed on first
-use and then looked up.  Rounds follow a frontier: the first visits every
-check, each later one only the checks next to positions filled in the round
-before.  This equals a sweep over every check in every round: a check none
-of whose positions was just filled sees what it saw at its last visit, and
-that visit found no contradiction (it would have raised) and nothing to fill
-(a fill puts the check on the next frontier).  Determinability is monotone
-in the known set, so the fixpoint does not depend on the schedule; the
-argument above shows that the round count and the errors raised do not
-either.
+The decoder keeps two integer masks per check over its sockets: u[c], the
+erased sockets, and y[c], the known sockets that carry a 1.  Both are set
+once from the erased positions and the received word, through each
+variable's (check, socket bit) pairs (`TannerGraph.var_sockets`); a filled
+position then clears its bit in u, and sets it in y when its value is 1, at
+its own checks only.  A check visit is one cached-rule lookup on u[c]: for
+the check's parity rows and that mask, one reduction gives a dependency mask
+per determined socket (its value is the parity of y[c] under the mask) and
+the consistency masks y[c] must satisfy; the rule is computed on first use.
+Rounds follow a frontier: the first visits every check, each later one only
+the checks next to positions filled in the round before.  This equals a
+sweep over every check in every round: a check none of whose positions was
+just filled has the masks of its last visit, and that visit found no
+contradiction (it would have raised) and nothing to fill (a fill puts the
+check on the next frontier).  Determinability is monotone in the known set,
+so the fixpoint does not depend on the schedule; the argument above shows
+that the round count and the errors raised do not either.
 
-The scan relates decoding failure to graph structure.  On all-parity graphs
-failure is equivalent to the erasure set containing a nonempty stopping set,
-and the scan checks both directions against an independent peeling oracle.
-On labelled graphs one direction is a theorem (an erasure set supporting a
+The scan relates decoding failure to graph structure.  It enumerates
+erasure patterns as integer masks over the variables and runs the same
+fixpoint on each.  On all-parity graphs failure is equivalent to the erasure
+set containing a nonempty stopping set, and the scan checks both directions
+against an independent peeling oracle on the checks' variable masks.  On
+labelled graphs one direction is a theorem (an erasure set supporting a
 nonzero cone point is never recovered) and is asserted; the converse can
 fail, and the scan counts the gap instead of pretending otherwise.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import sqrt
 
 import numpy as np
@@ -47,7 +54,7 @@ SCAN_BUDGET = 1 << 20
 RULE_CACHE_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     word: np.ndarray | None  # recovered word, None while bits remain unknown
     residual: tuple[int, ...]  # still-unknown positions
@@ -63,13 +70,13 @@ def _as_erasure_set(g, erased) -> set[int]:
     if arr.dtype == bool:
         if arr.shape != (g.n_vars,):
             raise LengthMismatch("erasure mask length differs from n_vars")
-        return set(int(i) for i in np.flatnonzero(arr))
+        return set(np.flatnonzero(arr).tolist())
     if not arr.size:
         return set()
     if arr.dtype.kind not in "iu":
         raise DomainError(f"erasure indices must be integers, got dtype {arr.dtype}")
-    out = set(int(i) for i in arr.reshape(-1))
-    if any(i < 0 or i >= g.n_vars for i in out):
+    out = set(arr.reshape(-1).tolist())
+    if min(out) < 0 or max(out) >= g.n_vars:
         raise LengthMismatch("erasure index out of range")
     return out
 
@@ -108,6 +115,56 @@ def _local_rule(rows: tuple[int, ...], u: int
     return tuple(sorted(determined)), tuple(consistency)
 
 
+def _fixpoint(g, unknown: set[int], bits: list[int]) -> int:
+    """Fill every position the checks determine, in place: filled positions
+    leave `unknown` and take their value in `bits`, which must be 0 at every
+    unknown position on entry.  Returns the number of rounds."""
+    sockets = g.var_sockets()
+    rows = g.local_parity_masks()
+    u = [0] * g.n_checks
+    y = [0] * g.n_checks
+    for v in unknown:
+        for c, b in sockets[v]:
+            u[c] |= b
+    for v in compress(range(len(bits)), bits):
+        for c, b in sockets[v]:
+            y[c] |= b
+    frontier = range(g.n_checks)
+    rounds = 0
+    while unknown:
+        filled = {}
+        for c in frontier:
+            determined, consistency = _local_rule(rows[c], u[c])
+            yc = y[c]
+            for mask in consistency:
+                if (mask & yc).bit_count() & 1:
+                    raise InvalidKnownBits(
+                        "known bits are inconsistent at a check" if u[c]
+                        else "known bits violate a fully known check")
+            if determined:
+                idx = g.check_vars(c)
+                for t, dep in determined:
+                    v = idx[t]
+                    val = (dep & yc).bit_count() & 1
+                    if filled.setdefault(v, val) != val:
+                        raise InvalidKnownBits(
+                            f"checks disagree on erased position {v}")
+        if not filled:
+            break
+        touched = set()
+        for v, val in filled.items():
+            bits[v] = val
+            unknown.discard(v)
+            for c, b in sockets[v]:
+                u[c] ^= b
+                if val:
+                    y[c] |= b
+                touched.add(c)
+        rounds += 1
+        frontier = sorted(touched)
+    return rounds
+
+
 def decode_bec(g, erased, received=None) -> DecodeResult:
     """Iterative erasure decoding to a fixpoint.
 
@@ -131,38 +188,7 @@ def decode_bec(g, erased, received=None) -> DecodeResult:
         bits = rec.tolist()
         for v in unknown:
             bits[v] = 0
-    rows = g.local_parity_masks()
-    frontier = range(g.n_checks)
-    rounds = 0
-    while unknown:
-        filled = {}
-        for c in frontier:
-            idx = g.check_vars(c)
-            u = y = 0
-            for t, v in enumerate(idx):
-                if v in unknown:
-                    u |= 1 << t
-                elif bits[v]:
-                    y |= 1 << t
-            determined, consistency = _local_rule(rows[c], u)
-            for mask in consistency:
-                if (mask & y).bit_count() & 1:
-                    raise InvalidKnownBits(
-                        "known bits are inconsistent at a check" if u
-                        else "known bits violate a fully known check")
-            for t, dep in determined:
-                v = idx[t]
-                val = (dep & y).bit_count() & 1
-                if filled.setdefault(v, val) != val:
-                    raise InvalidKnownBits(
-                        f"checks disagree on erased position {v}")
-        if not filled:
-            break
-        for v, val in filled.items():
-            bits[v] = val
-            unknown.discard(v)
-        rounds += 1
-        frontier = sorted({c for v in filled for c in g.var_checks(v)})
+    rounds = _fixpoint(g, unknown, bits)
     residual = tuple(sorted(unknown))
     return DecodeResult(word=None if residual else np.array(bits, dtype=np.uint8),
                         residual=residual, rounds=rounds)
@@ -171,22 +197,22 @@ def decode_bec(g, erased, received=None) -> DecodeResult:
 # -- structure scan ---------------------------------------------------------------
 
 
-def _peel_single_unknown(check_vars_list, n: int, erased: frozenset) -> frozenset:
+def _peel_single_unknown(check_masks, erased: int) -> int:
     """Independent oracle for all-parity graphs: repeatedly fill any erased
-    position that is the lone erased member of some check."""
-    e = set(erased)
+    position that is the lone erased member of some check.  Bit v of every
+    mask is variable v; returns the residual mask."""
     changed = True
-    while changed and e:
+    while changed and erased:
         changed = False
-        for idx in check_vars_list:
-            members = [v for v in idx if v in e]
-            if len(members) == 1:
-                e.discard(members[0])
+        for cm in check_masks:
+            m = erased & cm
+            if m and not m & (m - 1):
+                erased ^= m
                 changed = True
-    return frozenset(e)
+    return erased
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailureScanReport:
     kind: str  # "simple" | "generalized"
     patterns: int
@@ -209,7 +235,8 @@ def failure_equivalence_scan(g, samples: int | None = None, seed: int = 0,
     independent single-unknown peeler; the two must agree exactly.  Labelled
     graphs: predicate is "supports a nonzero cone point"; predicate without
     failure would refute a theorem and raises, failure without predicate is
-    counted and reported.
+    counted and reported.  A negative sample count raises ValueError; zero
+    samples give a vacuous report.
     """
     n = g.n_vars
     if samples is None:
@@ -217,31 +244,35 @@ def failure_equivalence_scan(g, samples: int | None = None, seed: int = 0,
             raise SearchSpaceTooLarge(
                 f"2^{n} erasure patterns exceed the budget ({budget}); pass samples=")
         total = 1 << n
-        patterns = (frozenset(b for b in range(n) if (mask >> b) & 1)
-                    for mask in range(total))
+        masks = range(total)
     else:
+        if samples < 0:
+            raise ValueError(f"samples must be non-negative, got {samples}")
         rng = np.random.default_rng([seed, n, samples])
         total = samples
-        patterns = (frozenset(int(i) for i in np.flatnonzero(rng.integers(0, 2, n)))
-                    for _ in range(samples))
+        masks = (sum(1 << int(i) for i in np.flatnonzero(rng.integers(0, 2, n)))
+                 for _ in range(samples))
     simple = g.all_simple
-    check_vars_list = [g.check_vars(c) for c in range(g.n_checks)]
+    check_masks = [sum(1 << v for v in g.check_vars(c)) for c in range(g.n_checks)]
     stuck_count = 0
     structural = 0
     stuck_no_struct = 0
     struct_no_stuck = 0
-    for e in patterns:
-        res = decode_bec(g, sorted(e))
+    for mask in masks:
+        e = [v for v in range(n) if mask >> v & 1]
+        unknown = set(e)
+        _fixpoint(g, unknown, [0] * n)
+        stuck = bool(unknown)
         if simple:
-            has_struct = bool(_peel_single_unknown(check_vars_list, n, e))
+            has_struct = bool(_peel_single_unknown(check_masks, mask))
         else:
             core = peel_to_max_stopping_subset(g, e)
             has_struct = bool(core) and has_nonzero_cone_point_within(g, core) is not None
-        stuck_count += res.stuck
+        stuck_count += stuck
         structural += has_struct
-        if res.stuck and not has_struct:
+        if stuck and not has_struct:
             stuck_no_struct += 1
-        if has_struct and not res.stuck:
+        if has_struct and not stuck:
             struct_no_stuck += 1
     if struct_no_stuck and not simple:
         raise AssertionError(
@@ -257,7 +288,7 @@ def failure_equivalence_scan(g, samples: int | None = None, seed: int = 0,
 # -- Monte Carlo ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FerRow:
     erasure_prob: float
     trials: int
@@ -291,6 +322,8 @@ def monte_carlo_fer(g, erasure_probs, trials: int, seed: int,
     for every trial; the trial stream depends only on (seed, prob_index,
     trials), so logs are reproducible and mergeable across probabilities.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     rows = []
     for idx, p in enumerate(erasure_probs):
         p = float(p)

@@ -47,7 +47,7 @@ class TannerGraph:
 
     __slots__ = ("n_vars", "n_checks", "edges", "labels", "provenance",
                  "_var_edges", "_check_edges", "_var_checks", "_check_vars",
-                 "_parity", "_parity_masks")
+                 "_parity", "_parity_masks", "_var_sockets")
 
     def __init__(self, n_vars: int, n_checks: int, edges, labels=None,
                  provenance: str = "imported"):
@@ -68,6 +68,7 @@ class TannerGraph:
         self.provenance = provenance
         self._parity = None
         self._parity_masks = None
+        self._var_sockets = None
         self._index()
         self._validate()
 
@@ -173,6 +174,15 @@ class TannerGraph:
                 for c, label in enumerate(self.labels))
         return self._parity_masks
 
+    def var_sockets(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each variable's (check, 1 << check socket) pairs, in socket order:
+        the bit a variable sets in each of its checks' local masks."""
+        if self._var_sockets is None:
+            self._var_sockets = tuple(
+                tuple((self.edges[e][1], 1 << self.edges[e][3]) for e in lst)
+                for lst in self._var_edges)
+        return self._var_sockets
+
     def adjacency(self) -> np.ndarray:
         """Symmetric adjacency of the full bipartite graph, variables first."""
         t = self.n_vars + self.n_checks
@@ -209,15 +219,26 @@ class TannerGraph:
         if data.get("format") != "tanner-graph":
             raise InputError("missing or wrong format marker")
 
+        def integer(x):
+            # int() would truncate 6.9 and parse "6"; only exact integers pass
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"expected an integer, got {x!r}")
+            return x
+
+        def parity_row(line):
+            if not isinstance(line, str) or set(line) - {"0", "1"}:
+                raise ValueError(f"parity rows are strings of 0 and 1, got {line!r}")
+            return [int(ch) for ch in line]
+
         def label(item):
             if item is None:
                 return None
-            rows = [[int(ch) for ch in line] for line in item["parity"]]
+            rows = [parity_row(line) for line in item["parity"]]
             return from_parity(BitMatrix(np.array(rows, dtype=np.uint8)), name=item["name"])
 
         readers = {"labels": lambda labels: [label(item) for item in labels],
-                   "n_vars": int, "n_checks": int,
-                   "edges": lambda edges: [(int(v), int(c), int(vs), int(cs))
+                   "n_vars": integer, "n_checks": integer,
+                   "edges": lambda edges: [tuple(map(integer, (v, c, vs, cs)))
                                            for v, c, vs, cs in edges]}
         fields = {}
         for key, read in readers.items():

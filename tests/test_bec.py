@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandercodes import bec, graphs, subcodes, tanner
 from expandercodes.errors import (
@@ -16,6 +18,7 @@ from expandercodes.errors import (
     SearchSpaceTooLarge,
 )
 from expandercodes.gf2 import BitMatrix, nullspace_basis, solve
+from expandercodes.polytope import has_nonzero_cone_point_within, peel_to_max_stopping_subset
 
 REP3 = subcodes.builtin("rep3")
 HAMMING = subcodes.builtin("hamming74")
@@ -297,6 +300,104 @@ def test_decode_order_independent_under_relabeling():
         b = bec.decode_bec(h, [perm[v] for v in erased])
         assert a.stuck == b.stuck
         assert tuple(sorted(perm[v] for v in a.residual)) == b.residual
+
+
+# -- reference scan ---------------------------------------------------------------
+#
+# The scan as a loop over position sets: decode_bec on each sorted pattern
+# (through its input validation and DecodeResult) and a set-based peeler.
+# bec.failure_equivalence_scan must report exactly what this reports.
+
+
+def reference_peel_single_unknown(check_vars_list, erased) -> frozenset:
+    e = set(erased)
+    changed = True
+    while changed and e:
+        changed = False
+        for idx in check_vars_list:
+            members = [v for v in idx if v in e]
+            if len(members) == 1:
+                e.discard(members[0])
+                changed = True
+    return frozenset(e)
+
+
+def reference_scan(g, samples=None, seed=0):
+    n = g.n_vars
+    if samples is None:
+        total = 1 << n
+        patterns = (frozenset(b for b in range(n) if (mask >> b) & 1)
+                    for mask in range(total))
+    else:
+        rng = np.random.default_rng([seed, n, samples])
+        total = samples
+        patterns = (frozenset(int(i) for i in np.flatnonzero(rng.integers(0, 2, n)))
+                    for _ in range(samples))
+    simple = g.all_simple
+    check_vars_list = [g.check_vars(c) for c in range(g.n_checks)]
+    stuck_count = structural = stuck_no_struct = struct_no_stuck = 0
+    for e in patterns:
+        res = bec.decode_bec(g, sorted(e))
+        if simple:
+            has_struct = bool(reference_peel_single_unknown(check_vars_list, e))
+        else:
+            core = peel_to_max_stopping_subset(g, e)
+            has_struct = bool(core) and has_nonzero_cone_point_within(g, core) is not None
+        stuck_count += res.stuck
+        structural += has_struct
+        stuck_no_struct += res.stuck and not has_struct
+        struct_no_stuck += has_struct and not res.stuck
+    return bec.FailureScanReport(kind="simple" if simple else "generalized",
+                                 patterns=total, decoder_stuck=stuck_count,
+                                 structural=structural,
+                                 stuck_without_structure=stuck_no_struct,
+                                 structure_without_stuck=struct_no_stuck)
+
+
+def test_scan_matches_reference_exhaustive():
+    pool = [triangle(), tanner.build_case_a(3, 6, 12, seed=2)]
+    pool += [tanner.build_case_a(2, 4, 10, seed=s) for s in range(3)]
+    pool.append(tanner.build_case_c(graphs.complete(4), subcodes.builtin("spc3")))
+    for g in pool:
+        assert bec.failure_equivalence_scan(g) == reference_scan(g), g
+
+
+def test_scan_matches_reference_sampled():
+    pool = [tanner.build_case_a(2, 4, 8, seed=0), tanner.build_case_a(3, 6, 24, seed=1),
+            tanner.build_case_c(graphs.prism(3), subcodes.builtin("rep3"))]
+    for g in pool:
+        for seed in (0, 5, 9):
+            got = bec.failure_equivalence_scan(g, samples=150, seed=seed)
+            assert got == reference_scan(g, samples=150, seed=seed), (g, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=8),
+    st.sets(st.integers(0, n - 1)))))
+def test_mask_peel_matches_set_peel(case):
+    n, checks, erased = case
+    check_masks = [sum(1 << v for v in idx) for idx in checks]
+    got = bec._peel_single_unknown(check_masks, sum(1 << v for v in erased))
+    want = reference_peel_single_unknown([sorted(idx) for idx in checks], erased)
+    assert got == sum(1 << v for v in want)
+
+
+def test_scan_and_fer_refuse_negative_counts():
+    g = tanner.build_case_a(2, 4, 8, seed=0)
+    rep = bec.failure_equivalence_scan(g, samples=0)
+    assert rep.patterns == 0 and rep.decoder_stuck == 0 and rep.equivalent
+    with pytest.raises(ValueError, match="samples"):
+        bec.failure_equivalence_scan(g, samples=-3)
+    for trials in (-1, 0):
+        with pytest.raises(ValueError, match="trials"):
+            bec.monte_carlo_fer(g, [0.3], trials=trials, seed=0)
+
+
+def test_results_have_slots():
+    for cls in (bec.DecodeResult, bec.FerRow, bec.FailureScanReport):
+        assert "__slots__" in vars(cls), cls
 
 
 def test_scan_simple_graphs_agree_with_peeling_oracle():

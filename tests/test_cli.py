@@ -241,6 +241,40 @@ def test_malformed_graph_json_exits_four(tmp_path, capsys):
         assert key in capsys.readouterr().err, name
 
 
+def _spc3_graph_doc():
+    return tanner.build_case_c(graphs.complete(4), subcodes.builtin("spc3")).to_json_dict()
+
+
+def _with_first_edge(doc, entry):
+    return [[entry] + doc["edges"][0][1:]] + doc["edges"][1:]
+
+
+def _with_first_parity(doc, rows):
+    return [{**doc["labels"][0], "parity": rows}] + doc["labels"][1:]
+
+
+# int() would truncate or parse each of these, and a digit-wise int() reads "333"
+@pytest.mark.parametrize("key,bad", [
+    ("n_vars", lambda doc: 6.9),
+    ("n_vars", lambda doc: "6"),
+    ("n_checks", lambda doc: 4.0),
+    ("edges", lambda doc: _with_first_edge(doc, 0.5)),
+    ("edges", lambda doc: _with_first_edge(doc, True)),
+    ("labels", lambda doc: _with_first_parity(doc, ["333"])),
+    ("labels", lambda doc: _with_first_parity(doc, [[1, 1, 1]])),
+], ids=["n_vars-float", "n_vars-string", "n_checks-float", "edge-float", "edge-bool",
+        "parity-digit-3", "parity-list"])
+def test_inexact_graph_json_values_exit_four(tmp_path, capsys, key, bad):
+    doc = _spc3_graph_doc()
+    doc[key] = bad(doc)
+    with pytest.raises(InputError, match=repr(key)):
+        tanner.TannerGraph.from_json_dict(doc)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--input", str(path)]) == 4
+    assert repr(key) in capsys.readouterr().err
+
+
 # -- simulate -----------------------------------------------------------------------
 
 
