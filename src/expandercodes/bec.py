@@ -27,12 +27,16 @@ that the round count and the errors raised do not either.
 
 The scan relates decoding failure to graph structure.  It enumerates
 erasure patterns as integer masks over the variables and runs the same
-fixpoint on each.  On all-parity graphs failure is equivalent to the erasure
-set containing a nonempty stopping set, and the scan checks both directions
-against an independent peeling oracle on the checks' variable masks.  On
-labelled graphs one direction is a theorem (an erasure set supporting a
-nonzero cone point is never recovered) and is asserted; the converse can
-fail, and the scan counts the gap instead of pretending otherwise.
+fixpoint on each.  Its structural predicate comes from the stopping-set peel
+of `polytope` on the same mask: the largest subset that every check touches
+either not at all or at least its threshold times (2 at a plain check, the
+label's minimum distance otherwise).  On all-parity graphs failure is
+equivalent to that core being nonempty, i.e. to the erasure set containing a
+stopping set, and the scan checks both directions.  On labelled graphs the
+predicate is that the core supports a nonzero cone point (one exact LP);
+one direction is a theorem (such an erasure set is never recovered) and is
+asserted; the converse can fail, and the scan counts the gap instead of
+pretending otherwise.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidKnownBits, LengthMismatch, SearchSpaceTooLarge
 from .gf2 import BitMatrix, row_echelon
-from .polytope import has_nonzero_cone_point_within, peel_to_max_stopping_subset
+from .polytope import _peel, _peel_rules, has_nonzero_cone_point_within
 
 Z_95 = 1.959963984540054
 SCAN_BUDGET = 1 << 20
@@ -197,21 +201,6 @@ def decode_bec(g, erased, received=None) -> DecodeResult:
 # -- structure scan ---------------------------------------------------------------
 
 
-def _peel_single_unknown(check_masks, erased: int) -> int:
-    """Independent oracle for all-parity graphs: repeatedly fill any erased
-    position that is the lone erased member of some check.  Bit v of every
-    mask is variable v; returns the residual mask."""
-    changed = True
-    while changed and erased:
-        changed = False
-        for cm in check_masks:
-            m = erased & cm
-            if m and not m & (m - 1):
-                erased ^= m
-                changed = True
-    return erased
-
-
 @dataclass(frozen=True, slots=True)
 class FailureScanReport:
     kind: str  # "simple" | "generalized"
@@ -231,12 +220,13 @@ def failure_equivalence_scan(g, samples: int | None = None, seed: int = 0,
     """Compare decoding failure with the structural predicate over erasure
     patterns (exhaustive when 2^n fits the budget, otherwise sampled).
 
-    All-parity graphs: predicate is "contains a nonempty stopping set" via an
-    independent single-unknown peeler; the two must agree exactly.  Labelled
-    graphs: predicate is "supports a nonzero cone point"; predicate without
-    failure would refute a theorem and raises, failure without predicate is
-    counted and reported.  A negative sample count raises ValueError; zero
-    samples give a vacuous report.
+    Each pattern is peeled once (`polytope._peel`, rules built once per
+    scan).  All-parity graphs: predicate is "the peeled core is nonempty",
+    i.e. the pattern contains a stopping set; the two must agree exactly.
+    Labelled graphs: predicate is "the core supports a nonzero cone point";
+    predicate without failure would refute a theorem and raises, failure
+    without predicate is counted and reported.  A negative sample count
+    raises ValueError; zero samples give a vacuous report.
     """
     n = g.n_vars
     if samples is None:
@@ -253,21 +243,18 @@ def failure_equivalence_scan(g, samples: int | None = None, seed: int = 0,
         masks = (sum(1 << int(i) for i in np.flatnonzero(rng.integers(0, 2, n)))
                  for _ in range(samples))
     simple = g.all_simple
-    check_masks = [sum(1 << v for v in g.check_vars(c)) for c in range(g.n_checks)]
+    rules = _peel_rules(g)
     stuck_count = 0
     structural = 0
     stuck_no_struct = 0
     struct_no_stuck = 0
     for mask in masks:
-        e = [v for v in range(n) if mask >> v & 1]
-        unknown = set(e)
+        unknown = {v for v in range(n) if mask >> v & 1}
         _fixpoint(g, unknown, [0] * n)
         stuck = bool(unknown)
-        if simple:
-            has_struct = bool(_peel_single_unknown(check_masks, mask))
-        else:
-            core = peel_to_max_stopping_subset(g, e)
-            has_struct = bool(core) and has_nonzero_cone_point_within(g, core) is not None
+        core = _peel(rules, mask)
+        has_struct = bool(core) and (simple or has_nonzero_cone_point_within(
+            g, [v for v in range(n) if core >> v & 1]) is not None)
         stuck_count += stuck
         structural += has_struct
         if stuck and not has_struct:

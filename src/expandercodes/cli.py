@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
-from . import bec, bounds, gf2, graphs, polytope, spectral, subcodes, tanner
+from . import bec, bounds, expansion, gf2, graphs, polytope, spectral, subcodes, tanner
 from .errors import (
     ExpanderCodesError,
     GuardExceeded,
@@ -99,7 +99,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--n", type=int, help="variable count (cases a, b) or base vertices (case c)")
         sp.add_argument("--m", type=int, help="left base vertices (case d)")
         sp.add_argument("--base", help="named base graph (k4, c5, petersen, k3,3, ...) or edge-list file")
-        sp.add_argument("--subcode", action="append", default=[],
+        sp.add_argument("--subcode", action="append", default=[], dest="subcodes",
                         help="subcode name (spc3, rep4, hamming74, ...) or parity file; repeat for case d")
         sp.add_argument("--seed", type=int, default=0)
         if with_alpha:
@@ -125,31 +125,15 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    probs: tuple[float, ...] = ()
-    if getattr(args, "erasure_probs", None):
-        try:
-            probs = tuple(float(x) for x in str(args.erasure_probs).split(",") if x.strip())
-        except ValueError as exc:
-            raise InputError(f"bad erasure probability list: {exc}") from exc
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        case=getattr(args, "case", None),
-        c=getattr(args, "c", None),
-        d=getattr(args, "d", None),
-        n=getattr(args, "n", None),
-        m=getattr(args, "m", None),
-        base=getattr(args, "base", None),
-        subcodes=tuple(getattr(args, "subcode", []) or []),
-        alpha=getattr(args, "alpha", None),
-        seed=getattr(args, "seed", 0),
-        guard_subsets=getattr(args, "guard_subsets", None),
-        erasure_probs=probs,
-        trials=getattr(args, "trials", 1000),
-        trial_log=getattr(args, "trial_log", None),
-        format=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-    )
+    values = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
+    values["subcodes"] = tuple(values["subcodes"])
+    probs = values["erasure_probs"]  # the option's text, when the command has one
+    try:
+        values["erasure_probs"] = (tuple(float(x) for x in probs.split(",") if x.strip())
+                                   if probs else ())
+    except ValueError as exc:
+        raise InputError(f"bad erasure probability list: {exc}") from exc
+    return RunConfig(**values)
 
 
 # -- input resolution ---------------------------------------------------------------
@@ -355,7 +339,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if alpha is not None:
         kwargs = {} if cfg.guard_subsets is None else {"budget": cfg.guard_subsets}
         doc["expansion"] = _guarded(
-            lambda: expansion_profile_dict(g, alpha, **kwargs))
+            lambda: expansion.vertex_expansion_profile(g, alpha, **kwargs).to_dict())
     oracles: dict = {}
     oracles["min_stopping_set"] = _guarded(_oracle_smin, g)
     oracles["bsc_pseudoweight"] = _guarded(_oracle_bsc, g)
@@ -363,12 +347,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
     doc["oracles"] = oracles
     _write(_dump_json(doc), cfg.out)
     return EXIT_OK
-
-
-def expansion_profile_dict(g, alpha, **kwargs):
-    from .expansion import vertex_expansion_profile
-
-    return vertex_expansion_profile(g, alpha, **kwargs).to_dict()
 
 
 def _oracle_smin(g):

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    InfeasibleRegion,
     LengthMismatch,
     SearchSpaceTooLarge,
     SolverFailure,
@@ -336,26 +337,39 @@ class _ConeSystem:
 # -- stopping sets ------------------------------------------------------------------
 
 
-def _check_thresholds(g) -> list[int]:
-    return [2 if lab is None else lab.dmin for lab in (g.labels[c] for c in range(g.n_checks))]
+def _peel_rules(g) -> list[tuple[int, int]]:
+    """One (variable mask, threshold) pair per check: bit v of the mask is
+    variable v, and the threshold is 2 at a plain check and the label's
+    minimum distance at a labelled one."""
+    return [(sum(1 << v for v in g.check_vars(c)), 2 if lab is None else lab.dmin)
+            for c, lab in enumerate(g.labels)]
 
 
-def peel_to_max_stopping_subset(g, subset=None) -> frozenset:
-    """Largest subset of `subset` meeting the neighborhood criterion: every
-    check touching it does so at least threshold times (2 for plain parity,
-    the local minimum distance for subcodes).  Computed by peeling; for
-    all-parity graphs this is exactly the union of contained stopping sets."""
-    s = set(range(g.n_vars) if subset is None else subset)
-    thresholds = _check_thresholds(g)
+def _peel(rules, s: int) -> int:
+    """Largest subset of the variable mask s that every check touches either
+    not at all or at least its threshold times: a check touching s fewer
+    times loses its members from s, until none does.  The fixpoint is the
+    union of all qualifying subsets, so the visiting order does not matter."""
     changed = True
     while changed and s:
         changed = False
-        for c in range(g.n_checks):
-            members = [v for v in g.check_vars(c) if v in s]
-            if 0 < len(members) < thresholds[c]:
-                s.difference_update(members)
+        for mask, threshold in rules:
+            hit = s & mask
+            if hit and hit.bit_count() < threshold:
+                s ^= hit
                 changed = True
-    return frozenset(s)
+    return s
+
+
+def peel_to_max_stopping_subset(g, subset=None) -> frozenset:
+    """Largest subset of `subset` (default: every variable) meeting the
+    neighborhood criterion of `_peel`: every check touching it does so at
+    least threshold times (2 for plain parity, the local minimum distance
+    for subcodes).  For all-parity graphs this is exactly the union of the
+    contained stopping sets."""
+    s = (1 << g.n_vars) - 1 if subset is None else sum(1 << v for v in set(subset))
+    s = _peel(_peel_rules(g), s)
+    return frozenset(v for v in range(s.bit_length()) if s >> v & 1)
 
 
 def _within_system(g, subset) -> _ConeSystem:
@@ -431,57 +445,42 @@ def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
 def min_stopping_set(g) -> StoppingSet | None:
     """Smallest nonempty stopping set, or None when there is none.
 
-    Plain-parity graphs ("simple"): exhaustive by increasing size over the
-    peeled candidate set, guarded at 22 variables.  Subcode graphs
-    ("generalized"): candidate subsets pass the threshold criterion first,
-    then an exact LP certifies a cone point supported exactly there; guarded
-    at 16 variables.
+    Candidates are the subsets of the peeled core (`_peel` from every
+    variable), by increasing size, each screened on integer masks.
+    Plain-parity graphs ("simple"): the first candidate that every touched
+    check touches at least twice is the answer; guarded at 22 variables.
+    Subcode graphs ("generalized"): a candidate must also hold a local
+    codeword at every touched subcode check, and then an exact LP certifies
+    a cone point supported exactly there; guarded at 16 variables.
     """
     kind = "simple" if g.all_simple else "generalized"
     limit = MAX_STOP_SIMPLE if kind == "simple" else MAX_STOP_GENERAL
     if g.n_vars > limit:
         raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the {kind} guard ({limit})")
-    active = sorted(peel_to_max_stopping_subset(g))
-    if not active:
+    rules = _peel_rules(g)
+    core = _peel(rules, (1 << g.n_vars) - 1)
+    if not core:
         return None
-    # Bitmask screens per check: which variables it touches, and for subcode
-    # checks the variable-index masks of its local codewords.  A support S is
-    # only possible if every touched subcode check has a codeword whose ones
-    # all land inside S.
-    var_masks = []
-    word_masks = []
-    for c in range(g.n_checks):
-        idx = g.check_vars(c)
-        mask = 0
-        for v in idx:
-            mask |= 1 << v
-        var_masks.append(mask)
-        label = g.labels[c]
-        if label is None:
-            word_masks.append(None)
-            continue
-        words = label.nonzero_codewords()
-        masks = []
-        for w in range(words.shape[0]):
-            m = 0
-            for j, v in enumerate(idx):
-                if words[w, j]:
-                    m |= 1 << v
-            masks.append(m)
-        word_masks.append(tuple(masks))
+    active = [v for v in range(g.n_vars) if core >> v & 1]
+    # A support S must meet every plain check's rule, and every subcode
+    # check it touches must have a local codeword whose ones all land in S;
+    # the codewords are kept as variable masks.
+    word_masks = [None if label is None else
+                  tuple(sum(1 << v for v, b in zip(g.check_vars(c), w) if b)
+                        for w in label.nonzero_codewords())
+                  for c, label in enumerate(g.labels)]
     for size in range(1, len(active) + 1):
         for combo in itertools.combinations(active, size):
             s_mask = 0
             for v in combo:
                 s_mask |= 1 << v
             ok = True
-            for c in range(g.n_checks):
-                hit = var_masks[c] & s_mask
+            for (mask, threshold), wm in zip(rules, word_masks):
+                hit = mask & s_mask
                 if not hit:
                     continue
-                wm = word_masks[c]
                 if wm is None:
-                    if hit.bit_count() < 2:
+                    if hit.bit_count() < threshold:
                         ok = False
                         break
                 elif not any(m & ~s_mask == 0 for m in wm):
@@ -568,10 +567,10 @@ def min_awgn_pseudoweight(g, basis_budget: int = AWGN_BASIS_BUDGET
     system = _within_system(g, range(g.n_vars))
     n = system.n_vars
     prob = lp(n, [F0] * n, list(system.rows) + [([F1] * n, "==", F1)])
-    feas = lp_solve(prob)
-    if feas.status != "optimal":
+    try:
+        vertices = enumerate_vertices(prob, budget=basis_budget)
+    except InfeasibleRegion:
         return None
-    vertices = enumerate_vertices(prob, budget=basis_budget)
     best_ss = F0
     best_point = None
     for v in vertices:

@@ -142,25 +142,17 @@ class TannerGraph:
                          ((v, self.n_vars + c) for v, c, _, _ in self.edges))
 
     def to_parity_matrix(self) -> BitMatrix:
-        """Parity-check matrix: labelled checks expand to one row per local
-        parity row, mapped through the check's socket order."""
-        if self._parity is not None:
-            return self._parity
-        rows = []
-        for c in range(self.n_checks):
-            idx = self.check_vars(c)
-            label = self.labels[c]
-            if label is None:
-                row = np.zeros(self.n_vars, dtype=np.uint8)
-                row[list(idx)] = 1
-                rows.append(row)
-            else:
-                for r in range(label.h.rows):
+        """Parity-check matrix: each check's `local_parity_masks` rows,
+        mapped through the check's socket order."""
+        if self._parity is None:
+            rows = []
+            for c, local in enumerate(self.local_parity_masks()):
+                idx = list(self.check_vars(c))
+                for mask in local:
                     row = np.zeros(self.n_vars, dtype=np.uint8)
-                    for j, v in enumerate(idx):
-                        row[v] ^= label.h.bits[r, j]
+                    row[idx] = [mask >> j & 1 for j in range(len(idx))]
                     rows.append(row)
-        self._parity = BitMatrix(np.array(rows, dtype=np.uint8))
+            self._parity = BitMatrix(np.array(rows, dtype=np.uint8))
         return self._parity
 
     def local_parity_masks(self) -> tuple[tuple[int, ...], ...]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expandercodes import bec, graphs, subcodes, tanner
+from expandercodes import bec, graphs, polytope, subcodes, tanner
 from expandercodes.errors import (
     DomainError,
     ExpanderCodesError,
@@ -18,7 +18,8 @@ from expandercodes.errors import (
     SearchSpaceTooLarge,
 )
 from expandercodes.gf2 import BitMatrix, nullspace_basis, solve
-from expandercodes.polytope import has_nonzero_cone_point_within, peel_to_max_stopping_subset
+from expandercodes.polytope import has_nonzero_cone_point_within
+from test_polytope import reference_peel
 
 REP3 = subcodes.builtin("rep3")
 HAMMING = subcodes.builtin("hamming74")
@@ -305,21 +306,9 @@ def test_decode_order_independent_under_relabeling():
 # -- reference scan ---------------------------------------------------------------
 #
 # The scan as a loop over position sets: decode_bec on each sorted pattern
-# (through its input validation and DecodeResult) and a set-based peeler.
-# bec.failure_equivalence_scan must report exactly what this reports.
-
-
-def reference_peel_single_unknown(check_vars_list, erased) -> frozenset:
-    e = set(erased)
-    changed = True
-    while changed and e:
-        changed = False
-        for idx in check_vars_list:
-            members = [v for v in idx if v in e]
-            if len(members) == 1:
-                e.discard(members[0])
-                changed = True
-    return frozenset(e)
+# (through its input validation and DecodeResult) and the set-based peel of
+# the polytope tests.  bec.failure_equivalence_scan must report exactly what
+# this reports.
 
 
 def reference_scan(g, samples=None, seed=0):
@@ -334,14 +323,13 @@ def reference_scan(g, samples=None, seed=0):
         patterns = (frozenset(int(i) for i in np.flatnonzero(rng.integers(0, 2, n)))
                     for _ in range(samples))
     simple = g.all_simple
-    check_vars_list = [g.check_vars(c) for c in range(g.n_checks)]
     stuck_count = structural = stuck_no_struct = struct_no_stuck = 0
     for e in patterns:
         res = bec.decode_bec(g, sorted(e))
+        core = reference_peel(g, e)
         if simple:
-            has_struct = bool(reference_peel_single_unknown(check_vars_list, e))
+            has_struct = bool(core)
         else:
-            core = peel_to_max_stopping_subset(g, e)
             has_struct = bool(core) and has_nonzero_cone_point_within(g, core) is not None
         stuck_count += res.stuck
         structural += has_struct
@@ -371,15 +359,29 @@ def test_scan_matches_reference_sampled():
             assert got == reference_scan(g, samples=150, seed=seed), (g, seed)
 
 
+def reference_peel_single_unknown(check_vars_list, erased) -> frozenset:
+    e = set(erased)
+    changed = True
+    while changed and e:
+        changed = False
+        for idx in check_vars_list:
+            members = [v for v in idx if v in e]
+            if len(members) == 1:
+                e.discard(members[0])
+                changed = True
+    return frozenset(e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=8),
     st.sets(st.integers(0, n - 1)))))
 def test_mask_peel_matches_set_peel(case):
+    # at threshold 2 the stopping-set peel is the single-unknown peeler
     n, checks, erased = case
-    check_masks = [sum(1 << v for v in idx) for idx in checks]
-    got = bec._peel_single_unknown(check_masks, sum(1 << v for v in erased))
+    rules = [(sum(1 << v for v in idx), 2) for idx in checks]
+    got = polytope._peel(rules, sum(1 << v for v in erased))
     want = reference_peel_single_unknown([sorted(idx) for idx in checks], erased)
     assert got == sum(1 << v for v in want)
 

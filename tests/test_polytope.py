@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from expandercodes import graphs, polytope, subcodes, tanner
+from expandercodes import graphs, lpsolve, polytope, subcodes, tanner
 from expandercodes.errors import (
     DegreeTooLarge,
     DomainError,
@@ -269,6 +269,61 @@ def test_peel_with_subcode_thresholds():
     assert polytope.peel_to_max_stopping_subset(g, {0, 1}) == frozenset()
 
 
+def reference_peel(g, subset=None) -> frozenset:
+    """The stopping-set peel on Python sets: drop the members of any check
+    that touches the set fewer than its threshold times (2 at a plain
+    check, the label's minimum distance otherwise) until none does."""
+    s = set(range(g.n_vars) if subset is None else subset)
+    thresholds = [2 if lab is None else lab.dmin for lab in g.labels]
+    changed = True
+    while changed and s:
+        changed = False
+        for c in range(g.n_checks):
+            members = [v for v in g.check_vars(c) if v in s]
+            if 0 < len(members) < thresholds[c]:
+                s.difference_update(members)
+                changed = True
+    return frozenset(s)
+
+
+PEEL_LABELS = [None, SPC3, subcodes.builtin("spc4"), subcodes.builtin("rep3"),
+               subcodes.builtin("rep4"), HAMMING]
+
+
+@st.composite
+def mixed_graphs_and_subsets(draw):
+    """A graph mixing plain checks with spc/rep/hamming74 labels on random
+    variables, a plain check over any variable left uncovered, and a subset."""
+    n = draw(st.integers(7, 13))
+    checks = []
+    for _ in range(draw(st.integers(1, 6))):
+        label = draw(st.sampled_from(PEEL_LABELS))
+        size = draw(st.integers(1, n)) if label is None else label.length
+        checks.append((label, draw(st.permutations(range(n)))[:size]))
+    missed = set(range(n)).difference(*(members for _, members in checks))
+    if missed:
+        checks.append((None, sorted(missed)))
+    edges, var_socket = [], [0] * n
+    for c, (_, members) in enumerate(checks):
+        for j, v in enumerate(members):
+            edges.append((v, c, var_socket[v], j))
+            var_socket[v] += 1
+    g = tanner.TannerGraph(n, len(checks), edges, labels=[lab for lab, _ in checks])
+    return g, draw(st.sets(st.integers(0, n - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs_and_subsets())
+def test_mask_peel_matches_reference_peel(case):
+    g, subset = case
+    rules = polytope._peel_rules(g)
+    for start in (subset, None):
+        want = reference_peel(g, start)
+        mask = (1 << g.n_vars) - 1 if start is None else sum(1 << v for v in start)
+        assert polytope._peel(rules, mask) == sum(1 << v for v in want)
+        assert polytope.peel_to_max_stopping_subset(g, start) == want
+
+
 def test_min_stopping_set_simple_matches_brute_force():
     for seed in range(6):
         g = tanner.build_case_a(2, 4, 10, seed=seed)
@@ -466,6 +521,24 @@ def test_min_awgn_none_guard_and_budget():
         polytope.min_awgn_pseudoweight(tanner.build_case_a(2, 4, 66, seed=0))
     with pytest.raises(SearchSpaceTooLarge):
         polytope.min_awgn_pseudoweight(square(), basis_budget=2)
+
+
+def test_min_awgn_runs_phase_one_once(monkeypatch):
+    # one tableau per call: vertex enumeration's own phase 1 decides
+    # emptiness, so no separate feasibility solve precedes it
+    built = []
+
+    class Counting(lpsolve._Tableau):
+        def __init__(self, prob):
+            built.append(prob)
+            super().__init__(prob)
+
+    monkeypatch.setattr(lpsolve, "_Tableau", Counting)
+    trivial = tanner.from_parity_matrix(BitMatrix(np.array([[1]], dtype=np.uint8)))
+    for g, expect_none in ((triangle(), False), (square(), False), (trivial, True)):
+        built.clear()
+        assert (polytope.min_awgn_pseudoweight(g) is None) == expect_none
+        assert len(built) == 1
 
 
 def test_min_awgn_at_most_dmin():
