@@ -6,6 +6,10 @@ D = |det B| of the current basis B.  Each row is scaled to integers once,
 when the tableau is built; after that a pivot is integer multiplication and
 one division by the previous D per entry, which Sylvester's identity makes
 exact.  Every division is checked, and a remainder raises SolverFailure.
+The tableau is condensed, as the integer dictionary of Avis's lrs (2000):
+it stores only the nonbasic columns, because each basic column is D in its
+own row and 0 elsewhere.  At a pivot the leaving variable takes the
+entering variable's slot, and its new column there needs no division.
 Every pivot decision compares the same rationals that a tableau of the
 unscaled rows over Fraction would, so results are exact and deterministic
 (Bland's rule, no cycling).  Variables are implicitly nonnegative; rows may
@@ -80,14 +84,18 @@ def _scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in fs], scale
 
 
-def _eliminate(row: list[int], rowr: list[int], j: int, p: int, d: int) -> list[int]:
-    """(row*p - row[j]*rowr) / d, every division checked for exactness.
+def _eliminate(row: list[int], rowr: list[int], k: int, p: int, d: int) -> list[int]:
+    """(row*p - row[k]*rowr) / d with row[k] read as 0, every division
+    checked for exactness.
 
-    d divides each numerator exactly when it divides their gcd.
+    rowr is the pivot row as the pivot leaves it, so slot k of the result
+    is the leaving variable's entry.  d divides each numerator exactly when
+    it divides their gcd.
     """
-    f = row[j]
+    f = row[k]
     if f:
         num = [a * p - f * b for a, b in zip(row, rowr)]
+        num[k] = -f * rowr[k]
     elif p == d:
         return row
     else:
@@ -100,11 +108,20 @@ def _eliminate(row: list[int], rowr: list[int], j: int, p: int, d: int) -> list[
 
 
 class _Tableau:
-    """Dense fraction-free simplex tableau with Bland and lexicographic rules.
+    """Condensed fraction-free simplex tableau with Bland and lexicographic
+    rules.
 
-    T[i] is row i as Python integers with its right-hand side last; entry
-    T[i][k] stands for the rational T[i][k] / D, where D = |det B| of the
-    current basis B, so a basic column holds D in its row and 0 elsewhere.
+    Only nonbasic columns are stored, as in the integer dictionary of Avis's
+    lrs (2000): T[i] holds row i's entries in the columns of the variables
+    cols[0], cols[1], ... as Python integers, with its right-hand side last.
+    Entry T[i][k] stands for the rational T[i][k] / D, where D = |det B| of
+    the current basis B; the column of the variable basic in row r is
+    implied, D in row r and 0 elsewhere.  A pivot on (r, j) moves the leaving
+    variable into the slot of j: its column there is sgn * D in row r and
+    -sgn * T[i][j] in row i, sgn being the sign of the pivot entry, and
+    needs no division.  Every rule reads variable indices, never stored
+    positions, so the slot order changes no decision.
+
     Built rows are first flipped to a nonnegative right-hand side, then
     scaled by the lcm L_i of their denominators; slack and artificial
     columns stay unit columns, so those variables stand for L_i times the
@@ -124,62 +141,56 @@ class _Tableau:
                 vals = [-v for v in vals]
                 sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
             norm_rows.append((*_scaled(vals), sense))
-        nslack = sum(1 for (_, _, s) in norm_rows if s != "==")
+        # variables: the n originals, one slack per inequality row, then one
+        # artificial per >= or == row, each in row order
+        slacks = [i for i, (_, _, s) in enumerate(norm_rows) if s != "=="]
+        art_rows = [i for i, (_, _, s) in enumerate(norm_rows) if s != "<="]
         self.n_orig = n
-        self.n_struct = n + nslack  # columns that survive phase 1
-        art_rows = []
-        T, basis = [], []
-        si = 0
-        for i, (vals, _, sense) in enumerate(norm_rows):
-            row = vals[:-1] + [0] * nslack
-            if sense == "<=":
-                row[n + si] = 1
-                basis.append(n + si)
-                si += 1
-            elif sense == ">=":
-                row[n + si] = -1
-                basis.append(None)
-                art_rows.append(i)
-                si += 1
-            else:
-                basis.append(None)
-                art_rows.append(i)
-            T.append(row)
-        # artificial columns appended after structural ones, then the rhs
+        self.n_struct = n + len(slacks)  # columns that survive phase 1
         self.n_art = len(art_rows)
         self.art_cost = [Fraction(-1, norm_rows[i][1]) for i in art_rows]
-        for k, i in enumerate(art_rows):
-            for r_i, row in enumerate(T):
-                row.append(1 if r_i == i else 0)
-            basis[i] = self.n_struct + k
-        for row, (vals, _, _) in zip(T, norm_rows):
-            row.append(vals[-1])
-        self.T = T
+        slack = {i: n + k for k, i in enumerate(slacks)}
+        art = {i: self.n_struct + k for k, i in enumerate(art_rows)}
+        # a <= row starts on its slack, every other row on its artificial;
+        # the originals and the surplus slacks of >= rows start nonbasic
+        basis = [slack[i] if s == "<=" else art[i] for i, (_, _, s) in enumerate(norm_rows)]
+        surplus = [i for i in slacks if norm_rows[i][2] == ">="]
+        self.cols = list(range(n)) + [slack[i] for i in surplus]
+        self.T = [vals[:-1] + [-int(i == s) for s in surplus] + vals[-1:]
+                  for i, (vals, _, _) in enumerate(norm_rows)]
         self.D = 1
         self.basis = basis
-        self.m = len(T)
+        self.m = len(self.T)
         self.ncols = self.n_struct + self.n_art
 
     def pivot(self, r: int, j: int) -> None:
-        """Pivot on (r, j): row r is kept (negated if T[r][j] < 0), every
-        other row i becomes (T[i]*p - T[i][j]*T[r]) / D, and D becomes |p|."""
+        """Pivot on row r and variable j: row r is kept (negated if its entry
+        p at j is negative), every other row i becomes
+        (T[i]*|p| - T[i][j]*T[r]) / D, slot j takes the leaving variable's
+        column, and D becomes |p|."""
         T, d = self.T, self.D
+        k = self.cols.index(j)
         rowr = T[r]
-        p = rowr[j]
+        p = rowr[k]
         if p == 0:
             raise SolverFailure("pivot on zero entry")
         if p < 0:
             rowr = T[r] = [-v for v in rowr]
             p = -p
+            rowr[k] = -d
+        else:
+            rowr[k] = d
         for i in range(self.m):
             if i != r:
-                T[i] = _eliminate(T[i], rowr, j, p, d)
+                T[i] = _eliminate(T[i], rowr, k, p, d)
         self.D = p
+        self.cols[k] = self.basis[r]
         self.basis[r] = j
 
     def _reduced_costs(self, cost: list[int]) -> list[int]:
-        """D times the reduced costs of integer costs, objective slot last."""
-        obj = [self.D * c for c in cost] + [0]
+        """D times the reduced costs of integer costs, in the stored slots,
+        objective slot last; a basic variable's reduced cost is 0."""
+        obj = [self.D * cost[c] for c in self.cols] + [0]
         for r, c in enumerate(self.basis):
             f = cost[c]
             if f:
@@ -191,34 +202,36 @@ class _Tableau:
 
         The rational costs are scaled to integers, which keeps every sign of
         the reduced-cost row; that row is pivoted along with the tableau.
+        The entering variable is the least one with a positive reduced cost.
         """
         obj = self._reduced_costs(_scaled(cost)[0])
-        T, basis = self.T, self.basis
+        T, basis, cols = self.T, self.basis, self.cols
         while True:
-            enter = next((j for j in range(self.ncols) if obj[j] > 0), -1)
+            enter = min((c for c, v in zip(cols, obj) if v > 0), default=-1)
             if enter < 0:
                 return "optimal"
-            rows = [i for i in range(self.m) if T[i][enter] > 0]
+            k = cols.index(enter)
+            rows = [i for i in range(self.m) if T[i][k] > 0]
             if not rows:
                 return "unbounded"
-            # least ratio, ties to the least basic column
-            best_r = min(self._least_ratios(rows, -1, enter), key=basis.__getitem__)
+            # least ratio, ties to the least basic variable
+            best_r = min(self._least_ratios(rows, -1, k), key=basis.__getitem__)
             d = self.D
             self.pivot(best_r, enter)
-            obj = _eliminate(obj, T[best_r], enter, self.D, d)
+            obj = _eliminate(obj, T[best_r], k, self.D, d)
 
-    def _least_ratios(self, rows: list[int], col: int, j: int) -> list[int]:
-        """The rows i of `rows` with the least T[i][col] / T[i][j], in order.
+    def _least_ratios(self, rows: list[int], col: int, k: int) -> list[int]:
+        """The rows i of `rows` with the least T[i][col] / T[i][k], in order.
 
-        Needs T[i][j] > 0.  Both entries of a ratio carry the same D, so the
+        Needs T[i][k] > 0.  Both entries of a ratio carry the same D, so the
         ratios order as in a Fraction tableau; they are compared
         cross-multiplied.
         """
         T = self.T
         best = rows[:1]
-        bn, bd = T[rows[0]][col], T[rows[0]][j]
+        bn, bd = T[rows[0]][col], T[rows[0]][k]
         for i in rows[1:]:
-            num, den = T[i][col], T[i][j]
+            num, den = T[i][col], T[i][k]
             cmp = num * bd - bn * den
             if cmp < 0:
                 best, bn, bd = [i], num, den
@@ -227,16 +240,28 @@ class _Tableau:
         return best
 
     def lex_leaving(self, j: int, lex_cols: list[int]) -> int:
-        """Leaving row for entering column j under the lexicographic rule:
-        least rhs ratio, ties broken by the ratios of lex_cols in turn, then
-        by row order."""
-        rows = [i for i in range(self.m) if self.T[i][j] > 0]
+        """Leaving row for entering variable j under the lexicographic rule:
+        least rhs ratio, ties broken by the ratios of the lex_cols variables
+        in turn, then by row order.
+
+        The implied column of a variable basic in row b has ratio 0 in every
+        row but b, so it breaks a tie by dropping row b.
+        """
+        cols = self.cols
+        k = cols.index(j)
+        rows = [i for i in range(self.m) if self.T[i][k] > 0]
         if not rows:
             raise SolverFailure("unbounded region in vertex enumeration")
-        for col in (-1, *lex_cols):
+        rows = self._least_ratios(rows, -1, k)
+        for col in lex_cols:
             if len(rows) == 1:
                 break
-            rows = self._least_ratios(rows, col, j)
+            if col in cols:
+                rows = self._least_ratios(rows, cols.index(col), k)
+            else:
+                b = self.basis.index(col)
+                if b in rows:
+                    rows.remove(b)
         return rows[0]
 
     def solution(self) -> list[Fraction]:
@@ -248,17 +273,24 @@ class _Tableau:
 
     def phase1(self) -> bool:
         """Drive artificials to zero; True when feasible.  On success the
-        artificial columns are stripped and redundant rows dropped."""
+        artificial columns are stripped and redundant rows dropped.
+
+        A nonbasic artificial keeps its stored column until then, because
+        Bland's rule may enter it again.
+        """
         if self.n_art:
-            self.run_bland([F0] * self.n_struct + self.art_cost)  # bounded below by construction
+            n_struct = self.n_struct
+            self.run_bland([F0] * n_struct + self.art_cost)  # bounded below by construction
             for r, c in enumerate(self.basis):
-                if c >= self.n_struct and self.T[r][-1] != 0:
+                if c >= n_struct and self.T[r][-1] != 0:
                     return False
-            # pivot zero-level artificials out, drop redundant rows
+            # pivot zero-level artificials out on the least structural
+            # variable with a nonzero entry; drop the rows that have none
             drop = []
             for r in range(self.m):
-                if self.basis[r] >= self.n_struct:
-                    j = next((jj for jj in range(self.n_struct) if self.T[r][jj] != 0), -1)
+                if self.basis[r] >= n_struct:
+                    j = min((c for c, v in zip(self.cols, self.T[r]) if c < n_struct and v),
+                            default=-1)
                     if j >= 0:
                         self.pivot(r, j)
                     else:
@@ -266,9 +298,11 @@ class _Tableau:
             for r in reversed(drop):
                 del self.T[r], self.basis[r]
             self.m = len(self.T)
-        self.T = [row[: self.n_struct] + row[-1:] for row in self.T]
-        self.ncols = self.n_struct
-        self.n_art = 0
+            keep = [k for k, c in enumerate(self.cols) if c < n_struct]
+            self.T = [[row[k] for k in keep] + row[-1:] for row in self.T]
+            self.cols = [self.cols[k] for k in keep]
+            self.ncols = n_struct
+            self.n_art = 0
         return True
 
 
@@ -316,7 +350,7 @@ def enumerate_vertices(prob: LinearProgram, budget: int = 200_000) -> list[tuple
     if not tb.phase1():
         raise InfeasibleRegion("empty feasible region")
     ncols = tb.ncols
-    lex_cols = list(tb.basis)  # identity block at walk start: a valid perturbation
+    lex_cols = list(tb.basis)  # the walk-start basis, D times the identity: a valid perturbation
 
     seen = {frozenset(tb.basis)}
     points: dict[tuple[Fraction, ...], None] = {}

@@ -47,7 +47,7 @@ MAX_STOP_SIMPLE = 22
 MAX_STOP_GENERAL = 16
 # Dense parity cones explode in basis count long before they finish.  The
 # default is a ceiling, not a fast failure: on case_a(3,6,16, seed 3) the
-# guard trips after about 4 s of exact pivots (2-core x86-64, Python 3.11).
+# guard trips after about 1.2 s of exact pivots (2-core x86-64, Python 3.11).
 # Cycle-code and small-subcode cones enumerate within a few hundred bases.
 AWGN_BASIS_BUDGET = 5_000
 
@@ -361,13 +361,24 @@ def _peel(rules, s: int) -> int:
     return s
 
 
+def _variables(g, subset) -> list[int]:
+    """The distinct indices of `subset`, sorted; DomainError names the first
+    one outside range(g.n_vars)."""
+    vs = sorted(set(subset))
+    bad = [v for v in vs if not 0 <= v < g.n_vars]
+    if bad:
+        raise DomainError(f"variable index {bad[0]} outside range({g.n_vars})")
+    return vs
+
+
 def peel_to_max_stopping_subset(g, subset=None) -> frozenset:
     """Largest subset of `subset` (default: every variable) meeting the
     neighborhood criterion of `_peel`: every check touching it does so at
     least threshold times (2 for plain parity, the local minimum distance
     for subcodes).  For all-parity graphs this is exactly the union of the
-    contained stopping sets."""
-    s = (1 << g.n_vars) - 1 if subset is None else sum(1 << v for v in set(subset))
+    contained stopping sets.  DomainError names an index outside
+    range(g.n_vars)."""
+    s = (1 << g.n_vars) - 1 if subset is None else sum(1 << v for v in _variables(g, subset))
     s = _peel(_peel_rules(g), s)
     return frozenset(v for v in range(s.bit_length()) if s >> v & 1)
 
@@ -381,8 +392,9 @@ def _within_system(g, subset) -> _ConeSystem:
     local codewords vanishing there, because codewords are nonnegative.
     Rows with no positive coefficient in "<=" form are implied by x >= 0 and
     dropped.  With every variable in the subset this is the full cone.
+    DomainError names an index outside range(g.n_vars).
     """
-    subset = sorted(set(subset))
+    subset = _variables(g, subset)
     pos = {v: i for i, v in enumerate(subset)}
     rows = []
     for c in range(g.n_checks):
@@ -425,9 +437,9 @@ def cone_point_with_support(g, support) -> Pseudocodeword | None:
 
     Feasibility LP on the cone restricted to the support with every support
     coordinate at least 1; the witness is that point divided by its
-    coordinate sum.
+    coordinate sum.  DomainError names an index outside range(g.n_vars).
     """
-    support = sorted(set(support))
+    support = _variables(g, support)
     k = len(support)
     units = [([F1 if j == i else F0 for j in range(k)], ">=", F1) for i in range(k)]
     return _within_witness(g, support, units,
@@ -435,7 +447,8 @@ def cone_point_with_support(g, support) -> Pseudocodeword | None:
 
 
 def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
-    """A nonzero cone point supported inside `subset`, or None."""
+    """A nonzero cone point supported inside `subset`, or None.  DomainError
+    names an index outside range(g.n_vars)."""
     if not subset:
         return None
     mass = ([F1] * len(set(subset)), "==", F1)

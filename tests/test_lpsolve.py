@@ -160,11 +160,12 @@ class FractionTableau:
         return True
 
 
-def run_with_tableau(tableau, solve):
+def run_with_tableau(tableau, solve, check=lambda tb: None):
     """solve() with lpsolve's tableau class replaced: (pivots, outcome).
 
     pivots lists every (row, column) pivot in order; the outcome is solve's
-    return value, or the class of the solver error it raised.
+    return value, or the class of the solver error it raised.  check(tb)
+    runs after every pivot.
     """
     pivots = []
     pivot = tableau.pivot
@@ -172,6 +173,7 @@ def run_with_tableau(tableau, solve):
     def recorded(self, r, j):
         pivots.append((r, j))
         pivot(self, r, j)
+        check(self)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tableau, "pivot", recorded)
@@ -391,19 +393,23 @@ def mixed_region_and_objectives(draw):
     artificials, whose phase-1 drive-out may pivot on negative entries; a
     rescaled copy of an equality row is redundant and gets dropped.  Most
     regions hold an anchor point, so that phase 2 runs; the rest may be
-    empty.
+    empty.  Up to seven rows over at most four variables make rows
+    outnumber the stored nonbasic columns; in about half the anchored
+    regions every row is tight at the anchor, a degenerate vertex whose
+    ratio ties go to Bland's and the lexicographic tie-breaks.
     """
     n = draw(st.integers(1, 4))
     vector = st.lists(coefficients, min_size=n, max_size=n)
     anchor = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    slack = st.just(0) if draw(st.booleans()) else st.integers(0, 2)
     rows = []
     for coeffs, sense in draw(st.lists(st.tuples(vector, st.sampled_from(["<=", ">=", "=="])),
-                                       max_size=4)):
+                                       max_size=7)):
         if anchor is None:
             rhs = draw(coefficients)
         else:
             rhs = sum(F(a) * x for a, x in zip(coeffs, anchor))
-            rhs += {"<=": 1, ">=": -1, "==": 0}[sense] * draw(st.integers(0, 2))
+            rhs += {"<=": 1, ">=": -1, "==": 0}[sense] * draw(slack)
         rows.append((coeffs, sense, rhs))
     if rows and draw(st.booleans()):
         coeffs, _, rhs = rows[0]
@@ -420,24 +426,44 @@ def mixed_region_and_objectives(draw):
 # redundant equalities after a negative right-hand side: drive-out and drop
 @example((lp(2, [0, 0], [([-1, -1], ">=", -2), ([1, 1], "==", 1), ([2, 2], "==", 2),
                          ([F(1, 3), 0.5], "<=", 1)]), [[1, 0], [0, -1]]))
+# five rows over two columns, all tight at (1, 1): Bland's ratio test ties
+@example((lp(2, [0, 0], [([1, 1], "<=", 2), ([1, 0], "<=", 1), ([0, 1], "<=", 1),
+                         ([1, 2], "<=", 3), ([2, 1], "<=", 3)]), [[1, 1], [1, 0]]))
+# two rows tie at ratio 0 from the origin; the first lex column is the slack
+# basic in row 0, so lex_leaving drops row 0
+@example((lp(2, [0, 0], [([1, -1], "<=", 0), ([2, -1], "<=", 0), ([1, 0], "<=", 1),
+                         ([0, 1], "<=", 1)]), [[1, 0], [1, 1]]))
+# the surplus of the >= row is variable 3 in stored slot 2, and later pivots
+# move every entering variable away from its own slot
+@example((lp(2, [0, 0], [([1, 0], "<=", 2), ([1, 1], ">=", 1), ([0, 1], "<=", 2)]),
+          [[1, 1], [-1, 0]]))
 def test_integer_tableau_takes_the_fraction_pivots(case):
     prob, objectives = case
 
     def solve_each():
         return [(r.status, r.value, r.x) for r in maximize_each(prob, objectives)]
 
+    def condensed(tb):
+        # one stored slot per nonbasic variable, each row its slots and rhs
+        assert len(tb.cols) == tb.ncols - tb.m
+        assert sorted(tb.cols + tb.basis) == list(range(tb.ncols))
+        assert all(len(row) == len(tb.cols) + 1 for row in tb.T)
+
     want = run_with_tableau(FractionTableau, solve_each)
-    assert run_with_tableau(_Tableau, solve_each) == want
+    assert run_with_tableau(_Tableau, solve_each, condensed) == want
     want = run_with_tableau(FractionTableau, lambda: enumerate_vertices(prob, budget=500))
-    assert run_with_tableau(_Tableau, lambda: enumerate_vertices(prob, budget=500)) == want
+    assert run_with_tableau(_Tableau, lambda: enumerate_vertices(prob, budget=500),
+                            condensed) == want
 
 
 def test_inexact_division_raises():
-    # one pivot makes D = 2; an entry changed by one then leaves a remainder
-    # at the next pivot, which floor division would swallow
+    # one pivot makes D = 2; a stored entry changed by one then leaves a
+    # remainder at the next pivot, which floor division would swallow
     tb = _Tableau(lp(2, [0, 0], [([2, 1], "<=", 4), ([1, 3], "<=", 6)]))
     tb.pivot(0, 0)
-    assert tb.D == 2 and tb.T == [[2, 1, 1, 0, 4], [0, 5, -1, 2, 8]]
-    tb.T[0][2] += 1
+    # variable 0 entered row 0; slack 2 left and took its stored slot
+    assert tb.D == 2 and tb.basis == [0, 3] and tb.cols == [2, 1]
+    assert tb.T == [[1, 1, 4], [-1, 5, 8]]
+    tb.T[0][0] += 1
     with pytest.raises(SolverFailure):
         tb.pivot(1, 1)

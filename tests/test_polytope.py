@@ -454,6 +454,18 @@ def test_cone_point_with_support_labelled():
     assert polytope.cone_point_with_support(g, (0, 1)) is None
 
 
+@pytest.mark.parametrize("subset, bad", [({0, 1, 20}, 20), ({-1, 2}, -1)])
+@pytest.mark.parametrize("oracle", [polytope.peel_to_max_stopping_subset,
+                                    polytope.has_nonzero_cone_point_within,
+                                    polytope.cone_point_with_support])
+def test_subset_indices_outside_the_graph_are_refused(oracle, subset, bad):
+    # index 20 touches no check, so a peel would keep it; index -1 would
+    # wrap around to the last variable without touching any check row
+    g = tanner.build_case_a(2, 4, 8, seed=0)
+    with pytest.raises(DomainError, match=f"variable index {bad} outside range\\(8\\)"):
+        oracle(g, subset)
+
+
 # -- weight minima ---------------------------------------------------------------------
 
 
