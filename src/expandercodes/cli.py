@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -133,6 +134,9 @@ def _config_from_args(args) -> RunConfig:
                                    if probs else ())
     except ValueError as exc:
         raise InputError(f"bad erasure probability list: {exc}") from exc
+    bad = [p for p in values["erasure_probs"] if not math.isfinite(p)]
+    if bad:
+        raise InputError(f"erasure probability {bad[0]} is not a finite number")
     return RunConfig(**values)
 
 

@@ -6,18 +6,24 @@ the others; in the polytope (the parity polytope), the box plus the odd-set
 inequalities, tested through the most violated odd set, found greedily.  A
 subcode label gets the facet rows of its codeword cone, and of its codeword
 hull, from one exact double-description routine; the rows are checked
-against the codewords when built and cached per label.  Cone LPs therefore
-have one variable per code coordinate and nothing else.  Membership in the
+against the codewords when built and cached per label.  Membership in the
 fundamental polytope is therefore one test: the box, then each check's own
 description.
 
-The block-error (flipping-set) weight minimum comes from a staged top-set
-search over the normalized cone section: one exact simplex, warm-started
-from one top set's optimal basis to the next.  The Gaussian-channel minimum
-comes from maximizing the squared norm over the same section, which is
-attained at a vertex and therefore found by exact vertex enumeration.
-Every value, witness and discarded candidate rests on exact rational
-arithmetic; no float decides anything here.
+Every cone question is an LP over one region, the normalized cone section
+(`_section`): the cone points supported inside a set of variables, one LP
+variable per member, with coordinate sum 1.  Every section point lies in
+the polytope, and a set has one exactly when it holds a nonzero cone
+point.  So a generalized stopping set, the support of a cone point
+(Vontobel & Koetter 2005), is the least screened candidate set whose
+section is nonempty.  The block-error (flipping-set) weight minimum comes
+from a staged top-set search over the section on the peeled core: one
+exact simplex, warm-started from one top set's optimal basis to the next.
+The Gaussian-channel minimum comes from maximizing the squared norm over
+the section on every variable, which is attained at a vertex and therefore
+found by exact vertex enumeration.  Every value, witness and discarded
+candidate rests on exact rational arithmetic; no float decides anything
+here.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
     ZeroVector,
     DegreeTooLarge,
 )
-from .lpsolve import F0, F1, enumerate_vertices, lp, lp_solve, maximize_each
+from .lpsolve import F0, F1, LinearProgram, enumerate_vertices, lp, lp_solve, maximize_each
 
 MAX_BSC_VARS = 14
 MAX_AWGN_VARS = 64
@@ -314,24 +320,96 @@ def awgn_weight(q):
     return (s * s) / ss
 
 
-# -- cone row systems --------------------------------------------------------------
+# -- the normalized cone section -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ConeSystem:
-    """The fundamental cone restricted to points supported inside `subset`.
+def _variables(g, subset) -> list[int]:
+    """The distinct indices of `subset`, sorted; DomainError names the first
+    one outside range(g.n_vars)."""
+    vs = sorted(set(subset))
+    bad = [v for v in vs if not 0 <= v < g.n_vars]
+    if bad:
+        raise DomainError(f"variable index {bad[0]} outside range({g.n_vars})")
+    return vs
 
-    LP rows over the subset's coordinates only, one variable per coordinate
-    in sorted order: each touched check contributes its local cone rows with
-    the off-subset coordinates set to zero.
+
+def _section(g, subset) -> tuple[list[int], LinearProgram]:
+    """The normalized cone section over `subset`: the cone points supported
+    inside it with coordinate sum 1, as an LP with one variable per member
+    of vs, the distinct members of `subset` sorted.
+
+    Off-subset coordinates are identically zero, so only checks touching the
+    subset matter, and each local row keeps its member coefficients.  Setting
+    coordinates to zero in a local cone's rows gives exactly the cone of the
+    local codewords vanishing there, because codewords are nonnegative.
+    Rows with no positive coefficient in "<=" form are implied by x >= 0 and
+    dropped.  The mass row sum(q) = 1 comes last.  A section point lies in
+    the fundamental polytope: at every check it is sum_w lambda_w w with
+    sum_w lambda_w <= sum_w lambda_w |w| <= 1, and the zero word takes the
+    rest.  DomainError names an index outside range(g.n_vars).
     """
+    vs = _variables(g, subset)
+    pos = {v: i for i, v in enumerate(vs)}
+    rows = []
+    for c in range(g.n_checks):
+        idx = g.check_vars(c)
+        members = [(j, pos[v]) for j, v in enumerate(idx) if v in pos]
+        if not members:
+            continue
+        facets, eqs = _cone_rows(g.labels[c], len(idx))
+        local = {}
+        for table, sense, sign in ((facets, "<=", -1), (eqs, "==", 1)):
+            for a in table:
+                coeffs = [F0] * len(vs)
+                for j, i in members:
+                    coeffs[i] = Fraction(sign * a[j])
+                if any(v > 0 for v in coeffs) or (sense == "==" and any(coeffs)):
+                    local[(tuple(coeffs), sense, F0)] = None
+        rows.extend(local)
+    rows.append(([F1] * len(vs), "==", F1))
+    return vs, lp(len(vs), [F0] * len(vs), rows)
 
-    subset: tuple[int, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.subset)
+def _point(g, vs, x, certificate: str) -> Pseudocodeword:
+    """The section point x over the variables vs, on every variable."""
+    values = [F0] * g.n_vars
+    for v, q in zip(vs, x):
+        values[v] = q
+    return Pseudocodeword(values=tuple(values), certificate=certificate)
+
+
+def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
+    """A point of the normalized cone section over `subset` (a nonzero cone
+    point supported inside it, scaled to mass 1), or None.  DomainError
+    names an index outside range(g.n_vars)."""
+    if not subset:
+        return None
+    vs, prob = _section(g, subset)
+    res = lp_solve(prob)
+    return _point(g, vs, res.x, "subset-supported") if res.status == "optimal" else None
+
+
+def cone_point_with_support(g, support) -> Pseudocodeword | None:
+    """A polytope point whose support is exactly `support`, or None.
+
+    Each support coordinate is maximized over the section on the support,
+    in one maximize_each.  Proof: when every maximum is positive, the mean
+    of the optimal points is a section point positive at every member; when
+    one is zero (or the section is empty), no section point is positive
+    there, so no cone point has that support.  DomainError names an index
+    outside range(g.n_vars).
+    """
+    if not support:
+        return None
+    vs, prob = _section(g, support)
+    k = len(vs)
+    optima = []
+    for res in maximize_each(prob, ([F1 if j == i else F0 for j in range(k)] for i in range(k))):
+        if res.status != "optimal" or res.value == 0:
+            return None
+        optima.append(res.x)
+    return _point(g, vs, [sum(col) / k for col in zip(*optima)],
+                  f"support-forced:{','.join(map(str, vs))}")
 
 
 # -- stopping sets ------------------------------------------------------------------
@@ -361,16 +439,6 @@ def _peel(rules, s: int) -> int:
     return s
 
 
-def _variables(g, subset) -> list[int]:
-    """The distinct indices of `subset`, sorted; DomainError names the first
-    one outside range(g.n_vars)."""
-    vs = sorted(set(subset))
-    bad = [v for v in vs if not 0 <= v < g.n_vars]
-    if bad:
-        raise DomainError(f"variable index {bad[0]} outside range({g.n_vars})")
-    return vs
-
-
 def peel_to_max_stopping_subset(g, subset=None) -> frozenset:
     """Largest subset of `subset` (default: every variable) meeting the
     neighborhood criterion of `_peel`: every check touching it does so at
@@ -383,88 +451,20 @@ def peel_to_max_stopping_subset(g, subset=None) -> frozenset:
     return frozenset(v for v in range(s.bit_length()) if s >> v & 1)
 
 
-def _within_system(g, subset) -> _ConeSystem:
-    """Cone rows restricted to points supported inside `subset`.
-
-    Off-subset coordinates are identically zero, so only checks touching the
-    subset matter, and each local row keeps its member coefficients.  Setting
-    coordinates to zero in a local cone's rows gives exactly the cone of the
-    local codewords vanishing there, because codewords are nonnegative.
-    Rows with no positive coefficient in "<=" form are implied by x >= 0 and
-    dropped.  With every variable in the subset this is the full cone.
-    DomainError names an index outside range(g.n_vars).
-    """
-    subset = _variables(g, subset)
-    pos = {v: i for i, v in enumerate(subset)}
-    rows = []
-    for c in range(g.n_checks):
-        idx = g.check_vars(c)
-        members = [(j, pos[v]) for j, v in enumerate(idx) if v in pos]
-        if not members:
-            continue
-        facets, eqs = _cone_rows(g.labels[c], len(idx))
-        local = {}
-        for table, sense, sign in ((facets, "<=", -1), (eqs, "==", 1)):
-            for a in table:
-                coeffs = [F0] * len(subset)
-                for j, i in members:
-                    coeffs[i] = Fraction(sign * a[j])
-                if any(v > 0 for v in coeffs) or (sense == "==" and any(coeffs)):
-                    local[(tuple(coeffs), sense, F0)] = None
-        rows.extend(local)
-    return _ConeSystem(subset=tuple(subset), rows=tuple(rows))
-
-
-def _within_witness(g, subset, extra_rows, certificate) -> Pseudocodeword | None:
-    """Feasible point of the restricted cone plus `extra_rows`, divided by
-    its coordinate sum.  A cone point of mass 1 lies in the polytope: at
-    every check it is sum_w lambda_w w with sum_w lambda_w <= sum_w
-    lambda_w |w| <= 1, and the zero word takes the rest."""
-    system = _within_system(g, subset)
-    k = system.n_vars
-    res = lp_solve(lp(k, [F0] * k, list(system.rows) + extra_rows))
-    if res.status != "optimal":
-        return None
-    mass = sum(res.x)
-    values = [F0] * g.n_vars
-    for i, v in enumerate(system.subset):
-        values[v] = res.x[i] / mass
-    return Pseudocodeword(values=tuple(values), certificate=certificate)
-
-
-def cone_point_with_support(g, support) -> Pseudocodeword | None:
-    """A polytope point whose support is exactly `support`, or None.
-
-    Feasibility LP on the cone restricted to the support with every support
-    coordinate at least 1; the witness is that point divided by its
-    coordinate sum.  DomainError names an index outside range(g.n_vars).
-    """
-    support = _variables(g, support)
-    k = len(support)
-    units = [([F1 if j == i else F0 for j in range(k)], ">=", F1) for i in range(k)]
-    return _within_witness(g, support, units,
-                           f"support-forced:{','.join(map(str, support))}")
-
-
-def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
-    """A nonzero cone point supported inside `subset`, or None.  DomainError
-    names an index outside range(g.n_vars)."""
-    if not subset:
-        return None
-    mass = ([F1] * len(set(subset)), "==", F1)
-    return _within_witness(g, subset, [mass], "subset-supported")
-
-
 def min_stopping_set(g) -> StoppingSet | None:
     """Smallest nonempty stopping set, or None when there is none.
 
     Candidates are the subsets of the peeled core (`_peel` from every
-    variable), by increasing size, each screened on integer masks.
-    Plain-parity graphs ("simple"): the first candidate that every touched
-    check touches at least twice is the answer; guarded at 22 variables.
-    Subcode graphs ("generalized"): a candidate must also hold a local
-    codeword at every touched subcode check, and then an exact LP certifies
-    a cone point supported exactly there; guarded at 16 variables.
+    variable), by increasing size, each screened on integer masks: every
+    touched plain check touched at least twice, every touched subcode check
+    holding a local codeword inside the candidate.  Plain-parity graphs
+    ("simple"): the first candidate passing the screen is the answer;
+    guarded at 22 variables.  Subcode graphs ("generalized"): the first
+    candidate S whose normalized section is nonempty is the answer, and its
+    section point has support exactly S.  Proof: every cone point support
+    lies in the core and passes the screen, so a section point with a
+    smaller support would have made that support an earlier answer.
+    Guarded at 16 variables.
     """
     kind = "simple" if g.all_simple else "generalized"
     limit = MAX_STOP_SIMPLE if kind == "simple" else MAX_STOP_GENERAL
@@ -502,11 +502,10 @@ def min_stopping_set(g) -> StoppingSet | None:
             if not ok:
                 continue
             if kind == "simple":
-                return StoppingSet(support=tuple(sorted(combo)), kind="simple")
-            witness = cone_point_with_support(g, combo)
+                return StoppingSet(support=combo, kind="simple")
+            witness = has_nonzero_cone_point_within(g, combo)
             if witness is not None:
-                return StoppingSet(support=tuple(sorted(combo)), kind="generalized",
-                                   witness=witness)
+                return StoppingSet(support=combo, kind="generalized", witness=witness)
     return None
 
 
@@ -516,85 +515,72 @@ def min_stopping_set(g) -> StoppingSet | None:
 def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
     """Exact minimum flipping-set weight over the fundamental cone.
 
-    The region is the normalized cone section restricted to the peeled
-    candidate set, which is exact: the support of every cone point survives
-    peeling.  Stage e = 1, 2, ... maximizes mass(E) - mass(rest) for every
-    candidate top set E of size e.  No ordering rows put E on top, because
-    the best of these optima is 2 topsum_e(q) - 1 maximized over the region
-    either way.  The first stage with a nonnegative optimum decides: weight
-    2e-1 when some optimum is positive, 2e when the best optima are exactly
-    zero; the optimal point of the deciding top set has exactly that weight.
-    Every objective is solved in exact arithmetic, each from the previous
-    optimal basis, and no candidate is dropped on float evidence.
+    The region is the normalized section over the peeled core, which is
+    exact: the support of every cone point survives peeling.  Stage e = 1,
+    2, ... maximizes mass(E) - mass(rest) for every candidate top set E of
+    size e.  No ordering rows put E on top, because the best of these optima
+    is 2 topsum_e(q) - 1 maximized over the region either way.  The first
+    stage with a nonnegative optimum decides: weight 2e-1 when some optimum
+    is positive, 2e when the best optima are exactly zero; the optimal point
+    of the deciding top set has exactly that weight.  Every objective is
+    solved in exact arithmetic, each from the previous optimal basis, and no
+    candidate is dropped on float evidence.  A section point with support S
+    decides by stage ceil(|S|/2), because its top ceil(|S|/2) entries hold
+    at least half its mass; so a nonempty section always decides, by the
+    last stage at the latest (E = the core, optimum 1).
 
-    Returns None when the cone has no nonzero point.  Guarded at 14 variables.
+    Returns None when the section is empty, that is, when the cone has no
+    nonzero point.  Guarded at 14 variables.
     """
     if g.n_vars > MAX_BSC_VARS:
         raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the guard ({MAX_BSC_VARS})")
-    active = sorted(peel_to_max_stopping_subset(g))
-    if not active:
+    core = _peel(_peel_rules(g), (1 << g.n_vars) - 1)
+    if not core:
         return None
-    smin = min_stopping_set(g)
-    if smin is None:
-        return None
-    cap = len(smin.support)
-    system = _within_system(g, active)
-    n = system.n_vars
-    prob = lp(n, [F0] * n, list(system.rows) + [([F1] * n, "==", F1)])
+    vs, prob = _section(g, (v for v in range(g.n_vars) if core >> v & 1))
+    n = len(vs)
     tops = itertools.chain.from_iterable(
-        itertools.combinations(range(n), e) for e in range(1, cap + 1))
+        itertools.combinations(range(n), e) for e in range(1, n + 1))
     results = maximize_each(prob, ([F1 if i in top else -F1 for i in range(n)]
                                    for top in tops))
-    for e in range(1, cap + 1):
+    for e in range(1, n + 1):
         best = None
         for res in itertools.islice(results, comb(n, e)):
+            if res.status == "infeasible":
+                return None  # phase 1 failed: every objective reads the same
             if res.status == "optimal" and res.value >= 0 and (
                     best is None or res.value > best.value):
                 best = res
                 if best.value > 0:
                     break  # the sign settles the stage
         if best is not None:
-            values = [F0] * g.n_vars
-            for v, q in zip(system.subset, best.x):
-                values[v] = q  # mass 1 already: a polytope point (see _within_witness)
-            pc = Pseudocodeword(values=tuple(values), certificate=f"top-set-stage-{e}")
-            return (2 * e - 1 if best.value > 0 else 2 * e), pc
-    raise SolverFailure("staged search passed the stopping-set cap without success")
+            return (2 * e - 1 if best.value > 0 else 2 * e,
+                    _point(g, vs, best.x, f"top-set-stage-{e}"))
+    raise SolverFailure("staged search passed the last stage without success")
 
 
 # -- exact Gaussian-channel weight minimum -------------------------------------------
 
 
-def min_awgn_pseudoweight(g, basis_budget: int = AWGN_BASIS_BUDGET
-                          ) -> tuple[Fraction, Pseudocodeword] | None:
+def min_awgn_pseudoweight(g) -> tuple[Fraction, Pseudocodeword] | None:
     """Exact minimum Gaussian-channel weight over the fundamental cone.
 
     On the normalized cone section the weight is 1 / sum(q^2), so the minimum
     weight is attained where sum(q^2) is largest; a convex function attains
     its maximum at a vertex, so the exact value comes from enumerating the
     section's vertices in rational arithmetic.  Returns None when the cone is
-    trivial.  Guarded at 64 variables plus a basis-count budget.
+    trivial.  Guarded at 64 variables plus AWGN_BASIS_BUDGET bases.
     """
     if g.n_vars > MAX_AWGN_VARS:
         raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the guard ({MAX_AWGN_VARS})")
-    system = _within_system(g, range(g.n_vars))
-    n = system.n_vars
-    prob = lp(n, [F0] * n, list(system.rows) + [([F1] * n, "==", F1)])
+    vs, prob = _section(g, range(g.n_vars))
     try:
-        vertices = enumerate_vertices(prob, budget=basis_budget)
+        vertices = enumerate_vertices(prob, budget=AWGN_BASIS_BUDGET)
     except InfeasibleRegion:
         return None
-    best_ss = F0
-    best_point = None
-    for v in vertices:
-        ss = sum(q * q for q in v)
-        if ss > best_ss or (ss == best_ss and best_point is not None and v < best_point):
-            best_ss = ss
-            best_point = v
-    if best_point is None or best_ss == 0:
-        return None
-    # mass 1 already: a polytope point (see _within_witness)
-    return F1 / best_ss, Pseudocodeword(values=best_point, certificate="norm-max-vertex")
+    # the first vertex of greatest squared norm, in enumerate_vertices' sorted order
+    best = max(vertices, key=lambda v: sum(q * q for q in v))
+    return F1 / sum(q * q for q in best), _point(g, vs, best, "norm-max-vertex")
 
 
 # -- cover realizability --------------------------------------------------------------

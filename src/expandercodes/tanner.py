@@ -208,6 +208,8 @@ class TannerGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TannerGraph":
+        if not isinstance(data, dict):
+            raise InputError(f"graph JSON must be an object, got {type(data).__name__}")
         if data.get("format") != "tanner-graph":
             raise InputError("missing or wrong format marker")
 

@@ -312,6 +312,17 @@ def test_simulate_bad_probability_list(triangle_alist, capsys):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize("probs, bad", [("nan", "nan"), ("0.5,nan", "nan"),
+                                        ("inf", "inf"), ("-inf", "-inf")])
+def test_simulate_refuses_non_finite_probabilities(probs, bad, capsys):
+    code = cli.main(["simulate", "--case", "a", "--c", "2", "--d", "4", "--n", "8",
+                     f"--erasure-probs={probs}"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"erasure probability {bad} is not a finite number" in err
+    assert "round-trip" not in err
+
 # -- subcode catalog ----------------------------------------------------------------
 
 

@@ -87,3 +87,14 @@ def test_no_float_tolerance_decides_a_result():
                   if isinstance(node, ast.Constant) and isinstance(node.value, float)
                   and 0 < node.value < 1e-3 and id(node) not in allowed]
     assert found == []
+
+
+def test_polytope_builds_every_lp_in_one_place():
+    # Every cone LP is the normalized section from polytope._section; a
+    # second row layout would be a second lp( call site.
+    tree = parsed_modules()["polytope.py"]
+    sites = [(func.name, node.lineno)
+             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lp"]
+    assert [name for name, _ in sites] == ["_section"], sites

@@ -3,12 +3,12 @@
 Oracles: stopping sets are recounted with plain set arithmetic; the
 generalized support search is cross-checked by a scipy float LP built from
 the raw definition (all local codewords, zero-forced off-support
-coordinates); the local row descriptions are checked against the exact
-multiplier layout and a hull LP over the codewords, and plain-check
-membership against every odd-set inequality; the paper's threshold,
-half-set and quarter-set lemmas are a reference function checked on random
-hull points; weight minima are pinned on cycle codes where every value is
-known in closed form.
+coordinates) and by an exact-support search, `reference_min_stopping_set`;
+the local row descriptions are checked against the exact multiplier layout
+and a hull LP over the codewords, and plain-check membership against every
+odd-set inequality; the paper's threshold, half-set and quarter-set lemmas
+are a reference function checked on random hull points; weight minima are
+pinned on cycle codes where every value is known in closed form.
 """
 
 import itertools
@@ -416,6 +416,84 @@ def test_min_stopping_set_generalized_matches_scipy_oracle():
     assert len(got.support) == 3
 
 
+def reference_min_stopping_set(g):
+    """The exact-support search: the same candidates and screen as
+    min_stopping_set, on Python sets, and then a generalized candidate is
+    certified by a cone point with exactly its support.  Returns (support,
+    kind) or None."""
+    core = sorted(reference_peel(g))
+    words = [None if lab is None else
+             [{v for v, bit in zip(g.check_vars(c), w) if bit} for w in lab.nonzero_codewords()]
+             for c, lab in enumerate(g.labels)]
+    for size in range(1, len(core) + 1):
+        for combo in itertools.combinations(core, size):
+            s = set(combo)
+            hits = [(s.intersection(g.check_vars(c)), words[c]) for c in range(g.n_checks)]
+            if any(hit and (len(hit) < 2 if ws is None else not any(w <= s for w in ws))
+                   for hit, ws in hits):
+                continue
+            if g.all_simple:
+                return combo, "simple"
+            if polytope.cone_point_with_support(g, combo) is not None:
+                return combo, "generalized"
+    return None
+
+
+def stranded_hamming_triple():
+    """A Hamming check on seven variables, four of which also sit alone on
+    a plain check.  The peel keeps the other three, {0, 1, 3}, which the
+    Hamming check touches dmin = 3 times, but they hold no codeword, so the
+    only cone point is zero."""
+    edges = [(j, 0, 0, j) for j in range(7)]
+    edges += [(v, c, 1, 0) for c, v in enumerate((2, 4, 5, 6), start=1)]
+    return tanner.TannerGraph(7, 5, edges, labels=[HAMMING, None, None, None, None])
+
+
+def test_min_stopping_set_matches_exact_support_reference():
+    b = subcodes.builtin
+    pool = [stranded_hamming_triple(),
+            tanner.build_case_c(graphs.complete(4), b("rep3")),
+            tanner.build_case_c(graphs.prism(3), b("rep3")),
+            tanner.build_case_c(graphs.complete(5), b("spc4")),
+            tanner.build_case_c(graphs.complete(5), b("rep4")),
+            tanner.build_case_d(graphs.complete_bipartite(3, 4), b("spc4"), b("rep3")),
+            tanner.build_case_d(graphs.complete_bipartite(4, 3), b("rep3"), b("spc4")),
+            tanner.build_case_d(graphs.complete_bipartite(2, 7), b("hamming74"), b("rep2")),
+            tanner.build_case_d(graphs.complete_bipartite(2, 8), b("exthamming84"), b("spc2")),
+            tanner.build_case_b(2, 7, 14, b("hamming74"), 1),
+            tanner.build_case_b(2, 8, 16, b("exthamming84"), 0)]
+    for s in range(2):
+        pool += [tanner.build_case_b(2, 4, 8, b("spc4"), s),
+                 tanner.build_case_b(3, 4, 12, b("spc4"), s),
+                 tanner.build_case_b(2, 3, 6, b("rep3"), s),
+                 tanner.build_case_b(2, 4, 8, b("rep4"), s),
+                 tanner.build_case_b(2, 7, 7, b("hamming74"), s),
+                 tanner.build_case_b(2, 8, 8, b("exthamming84"), s)]
+    for g in pool:
+        got = polytope.min_stopping_set(g)
+        want = reference_min_stopping_set(g)
+        assert (None if got is None else (got.support, got.kind)) == want, g.labels
+        if got is not None:
+            assert got.witness.support() == got.support
+            assert polytope.validate(g, got.witness).valid
+        if g.n_vars <= polytope.MAX_BSC_VARS:
+            assert (polytope.min_bsc_pseudoweight(g) is None) == (got is None), g.labels
+    assert polytope.min_stopping_set(pool[0]) is None
+    assert polytope.peel_to_max_stopping_subset(pool[0]) == {0, 1, 3}
+
+
+def test_min_bsc_runs_no_stopping_set_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the BSC oracle ran a stopping-set search")
+
+    monkeypatch.setattr(polytope, "min_stopping_set", refuse)
+    monkeypatch.setattr(polytope, "peel_to_max_stopping_subset", refuse)
+    assert polytope.min_bsc_pseudoweight(triangle())[0] == 3
+    assert polytope.min_bsc_pseudoweight(square())[0] == 4
+    assert polytope.min_bsc_pseudoweight(single_check(HAMMING))[0] == 3
+    assert polytope.min_bsc_pseudoweight(stranded_hamming_triple()) is None
+
+
 def test_min_stopping_set_guards():
     with pytest.raises(SearchSpaceTooLarge):
         polytope.min_stopping_set(tanner.build_case_a(2, 4, 24, seed=0))
@@ -526,13 +604,14 @@ def test_min_awgn_matches_cycle_space_on_prism():
     assert w == 3
 
 
-def test_min_awgn_none_guard_and_budget():
+def test_min_awgn_none_guard_and_budget(monkeypatch):
     g = tanner.from_parity_matrix(BitMatrix(np.array([[1]], dtype=np.uint8)))
     assert polytope.min_awgn_pseudoweight(g) is None
     with pytest.raises(SearchSpaceTooLarge):
         polytope.min_awgn_pseudoweight(tanner.build_case_a(2, 4, 66, seed=0))
+    monkeypatch.setattr(polytope, "AWGN_BASIS_BUDGET", 2)
     with pytest.raises(SearchSpaceTooLarge):
-        polytope.min_awgn_pseudoweight(square(), basis_budget=2)
+        polytope.min_awgn_pseudoweight(square())
 
 
 def test_min_awgn_runs_phase_one_once(monkeypatch):
@@ -740,8 +819,8 @@ def test_spc_label_rows_equal_plain_closed_form():
         label, plain = single_check(subcodes.builtin(f"spc{d}")), plain_check(d)
         for size in range(1, d + 1):
             for subset in itertools.combinations(range(d), size):
-                assert (set(polytope._within_system(label, subset).rows)
-                        == set(polytope._within_system(plain, subset).rows))
+                assert (set(polytope._section(label, subset)[1].rows)
+                        == set(polytope._section(plain, subset)[1].rows))
 
 
 def test_cone_points_match_multiplier_reference_on_single_checks():
@@ -755,8 +834,8 @@ def test_cone_points_match_multiplier_reference_on_single_checks():
                 rows += [([F(int(j == i)) for j in range(total)], ">=", F(1))
                          for i in range(size)]
                 want = lp_solve(lp(total, [F(0)] * total, rows)).status == "optimal"
-                system = polytope._within_system(g, support)
-                assert all(len(coeffs) == size for coeffs, _, _ in system.rows)
+                vs, section = polytope._section(g, support)
+                assert vs == list(support) and section.n_vars == size
                 got = polytope.cone_point_with_support(g, support)
                 assert (got is not None) == want, (g.labels, support)
                 if got is not None:
@@ -782,8 +861,7 @@ def test_bsc_top_set_optima_match_multiplier_reference():
         # candidate set, normalized to mass 1
         active = sorted(polytope.peel_to_max_stopping_subset(g))
         k = len(active)
-        section = lp(k, [F(0)] * k, list(polytope._within_system(g, active).rows)
-                     + [([F(1)] * k, "==", F(1))])
+        _, section = polytope._section(g, active)
         cap = len(polytope.min_stopping_set(g).support)
         for e in range(1, cap + 1):
             tops = list(itertools.combinations(range(k), e))
@@ -819,8 +897,7 @@ def test_min_bsc_equals_least_vertex_weight():
     pool += [tanner.build_case_b(2, 4, 4, b("spc4"), seed=s) for s in range(3)]
     for g in pool:
         n = g.n_vars
-        system = polytope._within_system(g, range(n))
-        section = lp(n, [F(0)] * n, list(system.rows) + [([F(1)] * n, "==", F(1))])
+        _, section = polytope._section(g, range(n))
         weight, witness = polytope.min_bsc_pseudoweight(g)
         assert weight == min(polytope.bsc_weight(v).weight for v in enumerate_vertices(section))
         assert polytope.bsc_weight(witness).weight == weight

@@ -162,6 +162,13 @@ def test_json_rejects_garbage():
         tanner.TannerGraph.from_json('{"format": "something-else"}')
 
 
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("7", "int"),
+                                        ('"tanner-graph"', "str"), ("null", "NoneType")])
+def test_json_that_is_not_an_object_is_refused(text, kind):
+    with pytest.raises(InputError, match=f"must be an object, got {kind}"):
+        tanner.TannerGraph.from_json(text)
+
 def test_lift_spec_validation():
     g = triangle_cycle_graph()
     with pytest.raises(SpecIncomplete):
