@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from . import polytope
+from . import polytope, tanner
 from .errors import (
     GuardExceeded,
     InconsistentParameters,
@@ -328,8 +328,6 @@ def graph_bounds(g, alpha=None, subset_budget=None) -> tuple[tuple[BoundReport, 
     measured expansion (biregular cases; alpha required) or certified
     spectra (edge-variable cases), plus the parity-oriented bound whenever
     its shape hypotheses can hold.  Returns (reports, context)."""
-    from . import tanner as tanner_mod
-
     context: dict = {"provenance": g.provenance}
     reports: list[BoundReport] = []
     if g.provenance in ("case_a", "case_b"):
@@ -354,13 +352,13 @@ def graph_bounds(g, alpha=None, subset_budget=None) -> tuple[tuple[BoundReport, 
             _, _, wbsc = case_b_bounds(alpha, g.n_vars, delta_int, c, d, ed)
             reports += [dmin, smin, wbsc]
     elif g.provenance == "case_c":
-        base = tanner_mod.reconstruct_base(g)
+        base = tanner.reconstruct_base(g)
         d = base.regular_degree()
         mu = regular_mu(base)
         context.update({"base_n": base.n, "d": d, "mu_upper": str(mu)})
         reports += list(case_c_bounds(base.n, d, mu, g.labels[0].dmin))
     elif g.provenance == "case_d":
-        base = tanner_mod.reconstruct_bipartite_base(g)
+        base = tanner.reconstruct_bipartite_base(g)
         c, d = base.biregular_degrees()
         mu = biregular_mu(base)
         context.update({"m": base.n_left, "n": base.n_right, "c": c, "d": d,

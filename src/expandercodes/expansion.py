@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DomainError, NotRegular, SubsetSpaceTooLarge
 from .graphs import BipartiteGraph, Graph
 from .lpsolve import _frac
+from .spectral import certified_mu
 
 SUBSET_BUDGET = 20_000_000
 
@@ -139,7 +140,6 @@ class EdgeBoundReport:
 def regular_mu(g: Graph) -> Fraction:
     """Certified upper bound on the largest nontrivial |eigenvalue| of a
     d-regular graph: the top magnitude of n A - d J, over n."""
-    from .spectral import certified_mu
     return certified_mu(g.n * g.adjacency() - g.regular_degree(), g.n)
 
 
@@ -220,7 +220,6 @@ def biregular_mu(bg: BipartiteGraph) -> Fraction:
     """Certified upper bound on the largest nontrivial |eigenvalue| of a
     (c, d)-biregular bipartite graph with m left vertices: the top magnitude
     of m A - d K, over m, where K is all ones on the off-diagonal blocks."""
-    from .spectral import certified_mu
     _, d = bg.biregular_degrees()
     m = bg.n_left
     left = np.arange(m + bg.n_right) < m

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,8 +47,7 @@ class TannerGraph:
     """Bipartite constraint graph with socketed edges and per-check labels."""
 
     __slots__ = ("n_vars", "n_checks", "edges", "labels", "provenance",
-                 "_var_edges", "_check_edges", "_var_checks", "_check_vars",
-                 "_parity", "_parity_masks", "_var_sockets")
+                 "_var_checks", "_check_vars", "_parity", "_parity_masks", "_var_sockets")
 
     def __init__(self, n_vars: int, n_checks: int, edges, labels=None,
                  provenance: str = "imported"):
@@ -61,6 +61,27 @@ class TannerGraph:
         labels = tuple(labels)
         if len(labels) != n_checks:
             raise InputError(f"{len(labels)} labels for {n_checks} checks")
+        var_groups = [[] for _ in range(n_vars)]
+        check_groups = [[] for _ in range(n_checks)]
+        pairs = set()
+        for e, (v, c, vs, cs) in enumerate(edges):
+            if not (0 <= v < n_vars and 0 <= c < n_checks):
+                raise InputError(f"edge {e} out of range: ({v}, {c})")
+            if (v, c) in pairs:
+                raise InputError(f"parallel edge between variable {v} and check {c}")
+            pairs.add((v, c))
+            var_groups[v].append((vs, c))
+            check_groups[c].append((cs, v))
+        self._var_checks = tuple(_placed(var_groups, "variable"))
+        check_vars = []
+        # a check's label length is checked right after its sockets, so the
+        # first faulty check in index order decides the error
+        for c, (row, label) in enumerate(zip(_placed(check_groups, "check"), labels)):
+            if label is not None and label.length != len(row):
+                raise SubcodeLengthMismatch(
+                    f"check {c} has degree {len(row)} but label length {label.length}")
+            check_vars.append(row)
+        self._check_vars = tuple(check_vars)
         self.n_vars = n_vars
         self.n_checks = n_checks
         self.edges = edges
@@ -69,54 +90,14 @@ class TannerGraph:
         self._parity = None
         self._parity_masks = None
         self._var_sockets = None
-        self._index()
-        self._validate()
-
-    def _index(self):
-        var_edges = [[] for _ in range(self.n_vars)]
-        check_edges = [[] for _ in range(self.n_checks)]
-        for e, (v, c, vs, cs) in enumerate(self.edges):
-            if not (0 <= v < self.n_vars and 0 <= c < self.n_checks):
-                raise InputError(f"edge {e} out of range: ({v}, {c})")
-            var_edges[v].append((vs, e))
-            check_edges[c].append((cs, e))
-        self._var_edges = tuple(tuple(e for _, e in sorted(lst)) for lst in var_edges)
-        self._check_edges = tuple(tuple(e for _, e in sorted(lst)) for lst in check_edges)
-        self._var_checks = tuple(tuple(self.edges[e][1] for e in lst)
-                                 for lst in self._var_edges)
-        self._check_vars = tuple(tuple(self.edges[e][0] for e in lst)
-                                 for lst in self._check_edges)
-
-    def _validate(self):
-        seen = set()
-        for v, c, _, _ in self.edges:
-            if (v, c) in seen:
-                raise InputError(f"parallel edge between variable {v} and check {c}")
-            seen.add((v, c))
-        for v, lst in enumerate(self._var_edges):
-            sockets = sorted(self.edges[e][2] for e in lst)
-            if sockets != list(range(len(lst))):
-                raise InputError(f"variable {v} sockets are not 0..deg-1")
-            if not lst:
-                raise InputError(f"variable {v} is isolated")
-        for c, lst in enumerate(self._check_edges):
-            sockets = sorted(self.edges[e][3] for e in lst)
-            if sockets != list(range(len(lst))):
-                raise InputError(f"check {c} sockets are not 0..deg-1")
-            if not lst:
-                raise InputError(f"check {c} is isolated")
-            label = self.labels[c]
-            if label is not None and label.length != len(lst):
-                raise SubcodeLengthMismatch(
-                    f"check {c} has degree {len(lst)} but label length {label.length}")
 
     # -- accessors ---------------------------------------------------------------
 
     def var_degree(self, v: int) -> int:
-        return len(self._var_edges[v])
+        return len(self._var_checks[v])
 
     def check_degree(self, c: int) -> int:
-        return len(self._check_edges[c])
+        return len(self._check_vars[c])
 
     def var_checks(self, v: int) -> tuple[int, ...]:
         """Checks on variable v, in socket order."""
@@ -170,19 +151,11 @@ class TannerGraph:
         """Each variable's (check, 1 << check socket) pairs, in socket order:
         the bit a variable sets in each of its checks' local masks."""
         if self._var_sockets is None:
-            self._var_sockets = tuple(
-                tuple((self.edges[e][1], 1 << self.edges[e][3]) for e in lst)
-                for lst in self._var_edges)
+            rows = [[None] * len(cs) for cs in self._var_checks]
+            for v, c, vs, cs in self.edges:
+                rows[v][vs] = (c, 1 << cs)
+            self._var_sockets = tuple(map(tuple, rows))
         return self._var_sockets
-
-    def adjacency(self) -> np.ndarray:
-        """Symmetric adjacency of the full bipartite graph, variables first."""
-        t = self.n_vars + self.n_checks
-        a = np.zeros((t, t))
-        for v, c, _, _ in self.edges:
-            a[v, self.n_vars + c] = 1.0
-            a[self.n_vars + c, v] = 1.0
-        return a
 
     # -- serialization -----------------------------------------------------------
 
@@ -259,40 +232,48 @@ class TannerGraph:
                 f"{kind}, provenance={self.provenance!r})")
 
 
+def _placed(groups, kind):
+    """Each node's neighbours in socket order, from its (socket, neighbour)
+    pairs.  Every pair is counted, so a repeated socket is refused like a
+    gap: the sockets of a degree-k node must be exactly 0..k-1."""
+    for x, group in enumerate(groups):
+        if not group:
+            raise InputError(f"{kind} {x} is isolated")
+        row = [None] * len(group)
+        for s, y in group:
+            if not 0 <= s < len(row) or row[s] is not None:
+                raise InputError(f"{kind} {x} sockets are not 0..deg-1")
+            row[s] = y
+        yield tuple(row)
+
+
+def _socketed(pairs) -> list[tuple[int, int, int, int]]:
+    """Edges (v, c, variable socket, check socket) for (variable, check)
+    pairs: each node numbers its sockets in the order its pairs are listed."""
+    var_sock, check_sock = Counter(), Counter()
+    edges = []
+    for v, c in pairs:
+        edges.append((v, c, var_sock[v], check_sock[c]))
+        var_sock[v] += 1
+        check_sock[c] += 1
+    return edges
+
+
 def from_parity_matrix(h: BitMatrix, labels=None) -> TannerGraph:
     """Graph of a parity-check matrix: one plain check per row, sockets in
     column order.  Zero rows and zero columns are rejected."""
-    edges = []
-    var_sock = [0] * h.cols
-    for r in range(h.rows):
-        cs = 0
-        for j in range(h.cols):
-            if h.bits[r, j]:
-                edges.append((j, r, var_sock[j], cs))
-                var_sock[j] += 1
-                cs += 1
-    return TannerGraph(h.cols, h.rows, edges, labels)
+    rows, cols = np.nonzero(h.bits)
+    return TannerGraph(h.cols, h.rows, _socketed(zip(cols.tolist(), rows.tolist())), labels)
 
 
 # -- the four constructions ----------------------------------------------------------
-
-
-def _graph_from_bipartite(base: BipartiteGraph, labels, provenance) -> TannerGraph:
-    var_sock = [0] * base.n_left
-    check_sock = [0] * base.n_right
-    edges = []
-    for l, r in base.edges:
-        edges.append((l, r, var_sock[l], check_sock[r]))
-        var_sock[l] += 1
-        check_sock[r] += 1
-    return TannerGraph(base.n_left, base.n_right, edges, labels, provenance)
 
 
 def build_case_a(c: int, d: int, n: int, seed: int,
                  require_connected: bool = False) -> TannerGraph:
     """Random (c, d)-biregular graph on n variables, all checks plain parity."""
     base = random_biregular(n, c, d, seed, require_connected=require_connected)
-    return _graph_from_bipartite(base, None, "case_a")
+    return TannerGraph(base.n_left, base.n_right, _socketed(base.edges), None, "case_a")
 
 
 def build_case_b(c: int, d: int, n: int, subcode: SubcodeSpec, seed: int,
@@ -302,8 +283,8 @@ def build_case_b(c: int, d: int, n: int, subcode: SubcodeSpec, seed: int,
         raise SubcodeLengthMismatch(
             f"subcode length {subcode.length} != check degree {d}")
     base = random_biregular(n, c, d, seed, require_connected=require_connected)
-    m = base.n_right
-    return _graph_from_bipartite(base, (subcode,) * m, "case_b")
+    return TannerGraph(base.n_left, base.n_right, _socketed(base.edges),
+                       (subcode,) * base.n_right, "case_b")
 
 
 def build_case_c(base: Graph, subcode: SubcodeSpec) -> TannerGraph:
@@ -315,14 +296,8 @@ def build_case_c(base: Graph, subcode: SubcodeSpec) -> TannerGraph:
             f"subcode length {subcode.length} != base degree {d}")
     if not base.is_connected():
         raise NotConnected("base graph must be connected")
-    check_sock = [0] * base.n
-    edges = []
-    for t, (u, v) in enumerate(base.edges):
-        edges.append((t, u, 0, check_sock[u]))
-        check_sock[u] += 1
-        edges.append((t, v, 1, check_sock[v]))
-        check_sock[v] += 1
-    return TannerGraph(len(base.edges), base.n, edges,
+    pairs = ((t, x) for t, uv in enumerate(base.edges) for x in uv)
+    return TannerGraph(len(base.edges), base.n, _socketed(pairs),
                        (subcode,) * base.n, "case_c")
 
 
@@ -340,16 +315,9 @@ def build_case_d(base: BipartiteGraph, sub_left: SubcodeSpec,
         raise SubcodeLengthMismatch(
             f"right subcode length {sub_right.length} != right degree {d}")
     m, n = base.n_left, base.n_right
-    left_sock = [0] * m
-    right_sock = [0] * n
-    edges = []
-    for t, (l, r) in enumerate(base.edges):
-        edges.append((t, l, 0, left_sock[l]))
-        left_sock[l] += 1
-        edges.append((t, m + r, 1, right_sock[r]))
-        right_sock[r] += 1
+    pairs = ((t, x) for t, (l, r) in enumerate(base.edges) for x in (l, m + r))
     labels = (sub_left,) * m + (sub_right,) * n
-    return TannerGraph(len(base.edges), m + n, edges, labels, "case_d")
+    return TannerGraph(len(base.edges), m + n, _socketed(pairs), labels, "case_d")
 
 
 def reconstruct_base(g: TannerGraph) -> Graph:
@@ -360,10 +328,7 @@ def reconstruct_base(g: TannerGraph) -> Graph:
         cs = g.var_checks(t)
         if len(cs) != 2:
             raise InputError(f"variable {t} has degree {len(cs)}, expected 2")
-        u, v = sorted(cs)
-        if u == v:
-            raise InputError(f"variable {t} repeats check {u}")
-        edges.append((u, v))
+        edges.append(tuple(sorted(cs)))
     return Graph(g.n_checks, tuple(edges))
 
 
@@ -432,8 +397,6 @@ def expander_params(g: TannerGraph) -> ExpanderCodeParams:
     if g.provenance == "case_d":
         base = reconstruct_bipartite_base(g)
         c, d = base.biregular_degrees()
-        if base.n_left * c != base.n_right * d:
-            raise InconsistentParameters("side degrees do not balance")
         r1 = g.labels[0].rate
         r2 = g.labels[base.n_left].rate
         rate = r1 + r2 - 1
@@ -521,13 +484,12 @@ def reduce_cover_codeword(word, base: TannerGraph, lift: TannerGraph) -> Pseudoc
     if syndrome.any():
         bad = int(np.flatnonzero(syndrome)[0])
         raise NotACodewordInCover(f"parity row {bad} is unsatisfied")
-    values = tuple(Fraction(int(word[v * l: (v + 1) * l].sum()), l)
-                   for v in range(base.n_vars))
+    counts = word.reshape(base.n_vars, l).sum(axis=1).tolist()
     for c in range(base.n_checks):
         if base.labels[c] is not None:
             continue
-        local = [values[i] for i in base.check_vars(c)]
-        total = sum(local)
-        if not all(2 * x <= total for x in local):
+        local = [counts[i] for i in base.check_vars(c)]
+        if 2 * max(local) > sum(local):
             raise AssertionError("cloud averages broke a parity check")
-    return Pseudocodeword(values=values, certificate=f"cover-degree-{l}")
+    return Pseudocodeword(values=tuple(Fraction(k, l) for k in counts),
+                          certificate=f"cover-degree-{l}")

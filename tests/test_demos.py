@@ -1,6 +1,8 @@
-"""The narrative demos run to completion against the package in src/."""
+"""The narrative demos and the README's python blocks run to completion
+against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,5 +23,23 @@ def test_demo_runs(script):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           flags=re.S | re.M)
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(index):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", README_BLOCKS[index]], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

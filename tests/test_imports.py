@@ -98,3 +98,12 @@ def test_polytope_builds_every_lp_in_one_place():
              for node in ast.walk(func)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lp"]
     assert [name for name, _ in sites] == ["_section"], sites
+
+
+def test_imports_sit_at_module_level():
+    # The one import cycle, tanner -> polytope -> tanner, is broken inside
+    # polytope.lift_realizability_check; every other import is at the top.
+    sites = [(name, func.name) for name, tree in parsed_modules().items()
+             for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert sites == [("polytope.py", "lift_realizability_check")], sites

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expandercodes import graphs, subcodes, tanner
 from expandercodes.errors import (
@@ -45,12 +47,93 @@ def test_constructor_validation():
         tanner.TannerGraph(2, 1, [(0, 0, 0, 0), (1, 0, 0, 1)], labels=[SPC3])
 
 
+@pytest.mark.parametrize("n_vars, n_checks, edges, message", [
+    # two variables on check socket 0
+    (2, 1, [(0, 0, 0, 0), (1, 0, 0, 0)], "check 0 sockets are not 0..deg-1"),
+    # check sockets 0 and 2: a gap
+    (2, 1, [(0, 0, 0, 0), (1, 0, 0, 2)], "check 0 sockets are not 0..deg-1"),
+    (2, 1, [(0, 0, 0, 0), (1, 0, 0, -1)], "check 0 sockets are not 0..deg-1"),
+    # one variable with socket 0 twice
+    (1, 2, [(0, 0, 0, 0), (0, 1, 0, 0)], "variable 0 sockets are not 0..deg-1"),
+    (1, 1, [(0, 1, 0, 0)], r"edge 0 out of range: \(0, 1\)"),
+    (2, 1, [(0, 0, 0, 0), (-1, 0, 0, 1)], r"edge 1 out of range: \(-1, 0\)"),
+    (1, 1, [(0, 0, 0, 0), (0, 0, 0, 0)], "parallel edge between variable 0 and check 0"),
+    (1, 2, [(0, 0, 0, 0)], "check 1 is isolated"),
+])
+def test_constructor_refusals(n_vars, n_checks, edges, message):
+    with pytest.raises(InputError, match=message):
+        tanner.TannerGraph(n_vars, n_checks, edges)
+
+
+def reference_index(g):
+    """(check_vars, var_checks, var_sockets) with each node's edges sorted by
+    socket: the sort-based index the graph kept before it placed edges at
+    their sockets."""
+    var_edges = [[] for _ in range(g.n_vars)]
+    check_edges = [[] for _ in range(g.n_checks)]
+    for e, (v, c, vs, cs) in enumerate(g.edges):
+        var_edges[v].append((vs, e))
+        check_edges[c].append((cs, e))
+    var_edges = [[e for _, e in sorted(lst)] for lst in var_edges]
+    check_edges = [[e for _, e in sorted(lst)] for lst in check_edges]
+    return (tuple(tuple(g.edges[e][0] for e in lst) for lst in check_edges),
+            tuple(tuple(g.edges[e][1] for e in lst) for lst in var_edges),
+            tuple(tuple((g.edges[e][1], 1 << g.edges[e][3]) for e in lst)
+                  for lst in var_edges))
+
+
+@st.composite
+def shuffled_graphs(draw):
+    """A graph of a random parity matrix, or a random lift of one, and the
+    same graph rebuilt from its edges in a shuffled order."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=rows * cols,
+                                  max_size=rows * cols)), dtype=np.uint8).reshape(rows, cols)
+    for j in range(max(rows, cols)):  # no zero row or column
+        bits[j % rows, j % cols] = 1
+    g = tanner.from_parity_matrix(BitMatrix(bits))
+    degree = draw(st.integers(1, 3))
+    g = tanner.build_lift(g, tanner.random_lift(g, degree, draw(st.integers(0, 99))))
+    edges = draw(st.permutations(g.edges))
+    return g, tanner.TannerGraph(g.n_vars, g.n_checks, edges, g.labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_graphs())
+def test_shuffled_edges_index_like_the_sorted_reference(pair):
+    g, shuffled = pair
+    for graph in (g, shuffled):
+        check_vars, var_checks, var_sockets = reference_index(graph)
+        assert tuple(map(graph.check_vars, range(graph.n_checks))) == check_vars
+        assert tuple(map(graph.var_checks, range(graph.n_vars))) == var_checks
+        assert graph.var_sockets() == var_sockets
+        assert [graph.var_degree(v) for v in range(graph.n_vars)] == list(map(len, var_checks))
+        assert [graph.check_degree(c) for c in range(graph.n_checks)] == list(map(len, check_vars))
+    assert shuffled.var_sockets() == g.var_sockets()
+    assert np.array_equal(shuffled.to_parity_matrix().bits, g.to_parity_matrix().bits)
+
+
 def test_socket_order_not_insertion_order():
     # Same edges listed backwards: socket numbers, not list position, decide
     # neighbor order.
     g = tanner.TannerGraph(2, 1, [(1, 0, 0, 1), (0, 0, 0, 0)])
     assert g.check_vars(0) == (0, 1)
     assert g.var_checks(0) == (0,)
+
+
+def test_sockets_count_up_in_listing_order():
+    # parity matrix: row-major; edge variables: each base edge's endpoints in turn
+    assert triangle_cycle_graph().edges == (
+        (0, 0, 0, 0), (1, 0, 0, 1), (1, 1, 1, 0), (2, 1, 0, 1), (0, 2, 1, 0), (2, 2, 1, 1))
+    k3 = graphs.complete(3)
+    assert k3.edges == ((0, 1), (0, 2), (1, 2))
+    assert tanner.build_case_c(k3, REP2).edges == (
+        (0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 2, 1, 0), (2, 1, 0, 1), (2, 2, 1, 1))
+    k22 = graphs.complete_bipartite(2, 2)
+    assert k22.edges == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert tanner.build_case_d(k22, REP2, REP2).edges == (
+        (0, 0, 0, 0), (0, 2, 1, 0), (1, 0, 0, 1), (1, 3, 1, 0),
+        (2, 1, 0, 0), (2, 2, 1, 1), (3, 1, 0, 1), (3, 3, 1, 1))
 
 
 def test_from_parity_matrix_round_trip():
