@@ -177,7 +177,8 @@ def decode_bec(g, erased, received=None) -> DecodeResult:
     truncated.  received supplies the known bits (erased positions are
     ignored); the default is the zero word.  Raises InvalidKnownBits when
     the known bits contradict a check, which means the input was not a
-    codeword pattern.
+    codeword pattern; a received word that decodes to a full word is
+    checked against every parity row.
     """
     unknown = _as_erasure_set(g, erased)
     if received is None:
@@ -186,14 +187,15 @@ def decode_bec(g, erased, received=None) -> DecodeResult:
         rec = np.asarray(received, dtype=np.uint8) & 1
         if rec.shape != (g.n_vars,):
             raise LengthMismatch("received word length differs from n_vars")
-        # the rounds below never run without unknowns, so validate here
-        if not unknown and g.to_parity_matrix().mul_vec(rec).any():
-            raise InvalidKnownBits("received word violates a check")
         bits = rec.tolist()
         for v in unknown:
             bits[v] = 0
     rounds = _fixpoint(g, unknown, bits)
     residual = tuple(sorted(unknown))
+    # the fixpoint stops once nothing is unknown, before it revisits the
+    # checks next to its last fills, so a full word is checked once here
+    if received is not None and not residual and g.to_parity_matrix().mul_vec(bits).any():
+        raise InvalidKnownBits("received word violates a check")
     return DecodeResult(word=None if residual else np.array(bits, dtype=np.uint8),
                         residual=residual, rounds=rounds)
 

@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 
 from . import bec, bounds, expansion, gf2, graphs, polytope, spectral, subcodes, tanner
 from .errors import (
@@ -88,7 +89,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@lru_cache
 def _build_parser() -> _Parser:
+    """The one parser of this process: argparse does not change a parser
+    while it parses, and the --subcode append action copies its default."""
     p = _Parser(prog="expandercodes", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

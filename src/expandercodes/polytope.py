@@ -19,6 +19,10 @@ point.  So a generalized stopping set, the support of a cone point
 section is nonempty.  The block-error (flipping-set) weight minimum comes
 from a staged top-set search over the section on the peeled core: one
 exact simplex, warm-started from one top set's optimal basis to the next.
+Stage 1 maximizes each coordinate, so it yields M_i, the largest q_i on the
+section; a later top set E with sum_E M_i < 1/2 is skipped unsolved, since
+every section point has mass(E) <= sum_E M_i and so a negative optimum
+2 mass(E) - 1, which cannot decide a stage.
 The Gaussian-channel minimum comes from maximizing the squared norm over
 the section on every variable, which is attained at a vertex and therefore
 found by exact vertex enumeration.  Every value, witness and discarded
@@ -32,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -529,6 +533,17 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
     at least half its mass; so a nonempty section always decides, by the
     last stage at the latest (E = the core, optimum 1).
 
+    Stage 1 objectives are 2 q_i - 1, so when stage 1 does not decide, its
+    n optima are exact and negative, and M_i = (optimum_i + 1) / 2 is the
+    largest q_i on the section.  A later top set E with sum_E M_i < 1/2 is
+    skipped without an LP: every section point has mass(E) <= sum_E M_i, so
+    its optimum 2 max mass(E) - 1 is negative, neither a positive optimum
+    nor the exact-zero tie.  The comparison is in Fractions.  The other top
+    sets are solved in the same combination order, so the deciding stage
+    and its first positive (or zero) top set are those of the full search;
+    only the warm-start chain is shorter, so where that top set's LP has
+    several optima the witness may be another of them.
+
     Returns None when the section is empty, that is, when the cone has no
     nonzero point.  Guarded at 14 variables.
     """
@@ -539,17 +554,24 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
         return None
     vs, prob = _section(g, (v for v in range(g.n_vars) if core >> v & 1))
     n = len(vs)
-    tops = itertools.chain.from_iterable(
-        itertools.combinations(range(n), e) for e in range(1, n + 1))
-    results = maximize_each(prob, ([F1 if i in top else -F1 for i in range(n)]
-                                   for top in tops))
+    # one simplex for every objective: each is pushed just before its result
+    # is pulled, so a skipped top set costs no LP and the next solved one
+    # starts from the last optimal basis
+    feed = []
+    results = maximize_each(prob, iter(feed.pop, None))
+    maxima = []  # M_i = (stage-1 optimum + 1) / 2, the largest q_i on the section
     for e in range(1, n + 1):
         best = None
-        for res in itertools.islice(results, comb(n, e)):
+        for top in itertools.combinations(range(n), e):
+            if e > 1 and 2 * sum(maxima[i] for i in top) < 1:
+                continue  # mass(E) <= sum of M_i < 1/2: the optimum is negative
+            feed.append([F1 if i in top else -F1 for i in range(n)])
+            res = next(results)
             if res.status == "infeasible":
                 return None  # phase 1 failed: every objective reads the same
-            if res.status == "optimal" and res.value >= 0 and (
-                    best is None or res.value > best.value):
+            if e == 1:
+                maxima.append((res.value + 1) / 2)
+            if res.value >= 0 and (best is None or res.value > best.value):
                 best = res
                 if best.value > 0:
                     break  # the sign settles the stage

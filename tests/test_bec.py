@@ -77,9 +77,6 @@ def reference_decode(g, erased, received=None):
     if received is not None:
         word = np.asarray(received, dtype=np.uint8) & 1
     word[sorted(unknown)] = 0
-    if received is not None and not unknown:
-        if g.to_parity_matrix().mul_vec(word).any():
-            raise InvalidKnownBits("received word violates a check")
     rounds = 0
     while unknown:
         filled = {}
@@ -103,6 +100,8 @@ def reference_decode(g, erased, received=None):
             unknown.discard(v)
         rounds += 1
     residual = tuple(sorted(unknown))
+    if received is not None and not residual and g.to_parity_matrix().mul_vec(word).any():
+        raise InvalidKnownBits("received word violates a check")
     return bec.DecodeResult(word=None if residual else word,
                             residual=residual, rounds=rounds)
 
@@ -242,6 +241,17 @@ def test_decode_rejects_contradictory_known_bits():
     g = triangle()
     with pytest.raises(InvalidKnownBits):
         bec.decode_bec(g, [], received=[1, 0, 0])
+
+
+def test_decode_rejects_a_full_word_off_the_code():
+    # the last round fills positions 0 and 1 from checks 0 and 1; check 2,
+    # next to both fills, then reads 1 + 0 = 1, and no codeword agrees with
+    # the known bits
+    g = tanner.from_parity_matrix(BitMatrix([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]]))
+    for decode in (bec.decode_bec, reference_decode):
+        with pytest.raises(InvalidKnownBits, match="received word violates a check"):
+            decode(g, [0, 1], received=[0, 0, 1, 0])
+        assert np.array_equal(decode(g, [0, 1], received=[0, 0, 1, 1]).word, [1, 1, 1, 1])
 
 
 def test_decode_input_validation():

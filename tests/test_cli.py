@@ -127,6 +127,26 @@ def test_analyze_repeats_byte_identical(triangle_alist, capsys):
     assert first == second
 
 
+def test_one_parser_serves_every_call(capsys):
+    # a failed parse and a parse that appends subcodes leave the shared
+    # parser as they found it
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["analyze", "--case", "b", "--c", "2", "--d", "4", "--n", "8",
+            "--subcode", "spc4", "--seed", "1", "--alpha", "1/2"]
+    code, first = run(capsys, argv)
+    assert code == 0
+    assert cli.main(["analyze", "--case", "z"]) == 4
+    capsys.readouterr()
+    code, out = run(capsys, ["analyze", "--case", "d", "--base", "k3,2",
+                             "--subcode", "rep2", "--subcode", "spc3"])
+    assert code == 0
+    assert json.loads(out)["config"]["subcodes"] == ["rep2", "spc3"]
+    code, again = run(capsys, argv)
+    assert code == 0
+    assert again == first
+    assert json.loads(first)["config"]["subcodes"] == ["spc4"]
+
+
 # -- bounds -------------------------------------------------------------------------
 
 

@@ -8,10 +8,13 @@ the local row descriptions are checked against the exact multiplier layout
 and a hull LP over the codewords, and plain-check membership against every
 odd-set inequality; the paper's threshold, half-set and quarter-set lemmas
 are a reference function checked on random hull points; weight minima are
-pinned on cycle codes where every value is known in closed form.
+pinned on cycle codes where every value is known in closed form, and the
+pruned BSC top-set search is compared with the unpruned staged search,
+`reference_min_bsc_pseudoweight`.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -449,7 +452,9 @@ def stranded_hamming_triple():
     return tanner.TannerGraph(7, 5, edges, labels=[HAMMING, None, None, None, None])
 
 
-def test_min_stopping_set_matches_exact_support_reference():
+def labelled_support_pool():
+    """Labelled graphs whose generalized stopping sets, and BSC minima on at
+    most 14 variables, are checked against exact references."""
     b = subcodes.builtin
     pool = [stranded_hamming_triple(),
             tanner.build_case_c(graphs.complete(4), b("rep3")),
@@ -469,6 +474,11 @@ def test_min_stopping_set_matches_exact_support_reference():
                  tanner.build_case_b(2, 4, 8, b("rep4"), s),
                  tanner.build_case_b(2, 7, 7, b("hamming74"), s),
                  tanner.build_case_b(2, 8, 8, b("exthamming84"), s)]
+    return pool
+
+
+def test_min_stopping_set_matches_exact_support_reference():
+    pool = labelled_support_pool()
     for g in pool:
         got = polytope.min_stopping_set(g)
         want = reference_min_stopping_set(g)
@@ -477,7 +487,7 @@ def test_min_stopping_set_matches_exact_support_reference():
             assert got.witness.support() == got.support
             assert polytope.validate(g, got.witness).valid
         if g.n_vars <= polytope.MAX_BSC_VARS:
-            assert (polytope.min_bsc_pseudoweight(g) is None) == (got is None), g.labels
+            assert (bsc_matching_reference(g) is None) == (got is None), g.labels
     assert polytope.min_stopping_set(pool[0]) is None
     assert polytope.peel_to_max_stopping_subset(pool[0]) == {0, 1, 3}
 
@@ -875,10 +885,9 @@ def test_bsc_top_set_optima_match_multiplier_reference():
     assert compared >= 50
 
 
-def test_min_bsc_equals_least_vertex_weight():
-    # topsum_e is convex, so its maximum over the normalized cone section is
-    # attained at a vertex; hence the least flipping-set weight over the
-    # section is the least over its vertices, found here by enumeration.
+def vertex_bsc_pool():
+    """Small graphs of every construction, each with a section small enough
+    to enumerate its vertices."""
     b = subcodes.builtin
     pool = [triangle(), square(),
             tanner.build_case_c(graphs.complete(4), b("spc3")),
@@ -889,19 +898,109 @@ def test_min_bsc_equals_least_vertex_weight():
             tanner.build_case_c(graphs.prism(3), b("rep3")),
             tanner.build_case_c(graphs.cycle(6), b("rep2")),
             tanner.build_case_c(graphs.cycle(5), b("spc2")),
-            tanner.build_case_a(2, 2, 7, seed=1, require_connected=True)]
+            seven_ring()]
     pool += [tanner.build_case_a(2, 3, 6, seed=s) for s in range(2)]
-    # its deciding stage has a zero top-set optimum before a positive one
-    pool.append(tanner.build_case_a(2, 3, 9, seed=1))
+    pool.append(zero_tie_case())
     pool += [tanner.build_case_a(2, 4, 6, seed=s) for s in range(6)]
     pool += [tanner.build_case_b(2, 4, 4, b("spc4"), seed=s) for s in range(3)]
-    for g in pool:
+    return pool
+
+
+def test_min_bsc_equals_least_vertex_weight():
+    # topsum_e is convex, so its maximum over the normalized cone section is
+    # attained at a vertex; hence the least flipping-set weight over the
+    # section is the least over its vertices, found here by enumeration.
+    for g in vertex_bsc_pool():
         n = g.n_vars
         _, section = polytope._section(g, range(n))
         weight, witness = polytope.min_bsc_pseudoweight(g)
         assert weight == min(polytope.bsc_weight(v).weight for v in enumerate_vertices(section))
         assert polytope.bsc_weight(witness).weight == weight
         assert polytope.validate(g, witness).valid, g.labels
+
+
+def seven_ring():
+    """The cycle code of a 7-cycle: every coordinate maximum is 1/7, so no
+    top set below stage 4 can reach half the mass."""
+    return tanner.build_case_a(2, 2, 7, seed=1, require_connected=True)
+
+
+def zero_tie_case():
+    """Its deciding stage has a zero top-set optimum before a positive one."""
+    return tanner.build_case_a(2, 3, 9, seed=1)
+
+
+def reference_min_bsc_pseudoweight(g):
+    """The staged top-set search with no pruning: every top set of every
+    stage is solved until a stage decides."""
+    core = polytope._peel(polytope._peel_rules(g), (1 << g.n_vars) - 1)
+    if not core:
+        return None
+    vs, prob = polytope._section(g, [v for v in range(g.n_vars) if core >> v & 1])
+    n = len(vs)
+    tops = itertools.chain.from_iterable(
+        itertools.combinations(range(n), e) for e in range(1, n + 1))
+    results = polytope.maximize_each(prob, ([F(1) if i in top else F(-1) for i in range(n)]
+                                            for top in tops))
+    for e in range(1, n + 1):
+        best = None
+        for res in itertools.islice(results, math.comb(n, e)):
+            if res.status == "infeasible":
+                return None
+            if res.status == "optimal" and res.value >= 0 and (
+                    best is None or res.value > best.value):
+                best = res
+                if best.value > 0:
+                    break
+        if best is not None:
+            return (2 * e - 1 if best.value > 0 else 2 * e,
+                    polytope._point(g, vs, best.x, f"top-set-stage-{e}"))
+    raise AssertionError("the staged search passed the last stage")
+
+
+def count_objectives(monkeypatch):
+    """Patch polytope.maximize_each to count the objectives it is handed;
+    returns the running count as a one-element list."""
+    count = [0]
+    solve = polytope.maximize_each
+
+    def counted(prob, objectives):
+        def tally():
+            for objective in objectives:
+                count[0] += 1
+                yield objective
+        return solve(prob, tally())
+
+    monkeypatch.setattr(polytope, "maximize_each", counted)
+    return count
+
+
+def bsc_matching_reference(g):
+    """min_bsc_pseudoweight(g), asserted to give the reference's weight and
+    a valid witness of that weight."""
+    got, want = polytope.min_bsc_pseudoweight(g), reference_min_bsc_pseudoweight(g)
+    assert (got is None) == (want is None), g.labels
+    if got is not None:
+        assert got[0] == want[0], g.labels
+        for weight, witness in (got, want):
+            assert polytope.validate(g, witness).valid, g.labels
+            assert polytope.bsc_weight(witness).weight == weight
+    return got
+
+
+def test_pruned_bsc_search_matches_the_full_search(monkeypatch):
+    # the labelled pool is compared in
+    # test_min_stopping_set_matches_exact_support_reference
+    for g in vertex_bsc_pool():
+        bsc_matching_reference(g)
+    count = count_objectives(monkeypatch)
+    counts = []
+    for search in (polytope.min_bsc_pseudoweight, reference_min_bsc_pseudoweight):
+        count[0] = 0
+        assert search(seven_ring())[0] == 7
+        counts.append(count[0])
+    # stage 1 gives M_i = 1/7, so stages 2 and 3 are skipped whole
+    assert counts == [8, 64]
 
 
 @settings(max_examples=150, deadline=None)
