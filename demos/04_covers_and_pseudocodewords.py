@@ -54,7 +54,7 @@ print("min AWGN pseudoweight:", w)
 # Every polytope point of a simple graph is realized by some finite cover.
 # The search below reconstructs a cover and the permutations that produce
 # a requested point.
-lw = polytope.lift_realizability_check(tri, half)
+lw = tanner.lift_realizability_check(tri, half)
 print("realized in a cover of degree", lw.degree)
 
 # Stopping sets are the supports that can trap erasure decoding; the

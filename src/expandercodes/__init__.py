@@ -3,8 +3,10 @@ and spectral/expansion lower bounds with verification.
 
 The public surface groups as:
 
-- construction: TannerGraph, build_case_a/b/c/d, covers (LiftSpec,
-  build_lift, reduce_cover_codeword), base graphs and subcode catalog;
+- construction: TannerGraph, build_case_a/b/c/d, base graphs and subcode
+  catalog;
+- covers, all in `tanner`: LiftSpec, build_lift, reduce_cover_codeword
+  (cover codeword to pseudocodeword) and lift_realizability_check (back);
 - exact analysis: minimum distance, stopping sets, BSC/AWGN pseudoweight
   minima over the fundamental cone, all guard-gated;
 - bounds: per-construction BoundReport sets and verify_bounds, which pits
@@ -49,7 +51,6 @@ from .polytope import (
     StoppingSet,
     awgn_weight,
     bsc_weight,
-    lift_realizability_check,
     min_awgn_pseudoweight,
     min_bsc_pseudoweight,
     min_stopping_set,
@@ -67,6 +68,7 @@ from .tanner import (
     build_lift,
     expander_params,
     from_parity_matrix,
+    lift_realizability_check,
     reduce_cover_codeword,
 )
 

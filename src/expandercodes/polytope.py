@@ -38,8 +38,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import numpy as np
-
 from .errors import (
     DomainError,
     InfeasibleRegion,
@@ -47,7 +45,6 @@ from .errors import (
     SearchSpaceTooLarge,
     SolverFailure,
     ZeroVector,
-    DegreeTooLarge,
 )
 from .lpsolve import F0, F1, LinearProgram, enumerate_vertices, lp, lp_solve, maximize_each
 
@@ -603,121 +600,3 @@ def min_awgn_pseudoweight(g) -> tuple[Fraction, Pseudocodeword] | None:
     # the first vertex of greatest squared norm, in enumerate_vertices' sorted order
     best = max(vertices, key=lambda v: sum(q * q for q in v))
     return F1 / sum(q * q for q in best), _point(g, vs, best, "norm-max-vertex")
-
-
-# -- cover realizability --------------------------------------------------------------
-
-
-MAX_LIFT_VARS = 10
-MAX_LIFT_DEGREE = 4
-
-
-@dataclass(frozen=True)
-class LiftWitness:
-    degree: int
-    permutations: tuple[tuple[int, ...], ...]
-
-
-def _distribute_local_codewords(words: np.ndarray, counts: list[int], degree: int):
-    """Multiset of `degree` local codewords whose column sums equal counts,
-    found by depth-first search; None when impossible."""
-    d = len(counts)
-
-    def rec(level: int, remaining: list[int], start: int, chosen: list[int]):
-        if level == degree:
-            return list(chosen) if all(r == 0 for r in remaining) else None
-        # prune: remaining ones must fit in the levels left
-        left = degree - level
-        if any(r > left or r < 0 for r in remaining):
-            return None
-        for w in range(start, words.shape[0]):
-            row = words[w]
-            nxt = [remaining[j] - int(row[j]) for j in range(d)]
-            if any(v < 0 for v in nxt):
-                continue
-            chosen.append(w)
-            got = rec(level + 1, nxt, w, chosen)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    return rec(0, list(counts), 0, [])
-
-
-def lift_realizability_check(g, p, max_degree: int = MAX_LIFT_DEGREE):
-    """Search for a cover of degree up to max_degree realizing p exactly.
-
-    p must be rational; candidate degrees are the multiples of the least
-    common denominator.  Returns a LiftWitness on success, None when no cover
-    within the degree cap realizes p (inconclusive for larger degrees).
-    Guarded at 10 variables and degree 4.
-    """
-    vals = _coerce_values(p)
-    _check_length(g, vals)
-    if g.n_vars > MAX_LIFT_VARS:
-        raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the guard ({MAX_LIFT_VARS})")
-    if max_degree > MAX_LIFT_DEGREE:
-        raise DegreeTooLarge(f"degree cap {max_degree} exceeds the guard ({MAX_LIFT_DEGREE})")
-    if any(v < 0 or v > 1 for v in vals):
-        return None
-    base_l = 1
-    for v in vals:
-        base_l = base_l * v.denominator // gcd(base_l, v.denominator)
-    if base_l > max_degree:
-        raise DegreeTooLarge(f"denominator {base_l} exceeds the degree cap {max_degree}")
-    from . import tanner  # deferred: tanner imports this module for Pseudocodeword
-
-    for degree in range(base_l, max_degree + 1, base_l):
-        counts = [int(v * degree) for v in vals]
-        assignment = {}
-        feasible = True
-        for c in range(g.n_checks):
-            idx = g.check_vars(c)
-            label = g.labels[c]
-            if label is None:
-                d = len(idx)
-                words = np.array([[ (w >> j) & 1 for j in range(d)]
-                                  for w in range(1 << d)
-                                  if bin(w).count("1") % 2 == 0], dtype=np.uint8)
-            else:
-                words = label.codewords
-            local_counts = [counts[i] for i in idx]
-            chosen = _distribute_local_codewords(words, local_counts, degree)
-            if chosen is None:
-                feasible = False
-                break
-            assignment[c] = (words, chosen)
-        if not feasible:
-            continue
-        perms = _assemble_permutations(g, counts, assignment, degree)
-        spec = tanner.LiftSpec(degree=degree, permutations=tuple(perms))
-        lift = tanner.build_lift(g, spec)
-        word = np.zeros(lift.n_vars, dtype=np.uint8)
-        for v in range(g.n_vars):
-            word[v * degree: v * degree + counts[v]] = 1
-        reduced = tanner.reduce_cover_codeword(word, g, lift)
-        if list(reduced.values) != vals:
-            raise SolverFailure("internal: assembled cover does not reduce to p")
-        return LiftWitness(degree=degree, permutations=tuple(perms))
-    return None
-
-
-def _assemble_permutations(g, counts, assignment, degree):
-    """Edge permutations matching the canonical cloud patterns (first
-    counts[v] copies of variable v are ones) to the chosen local codewords."""
-    perms = []
-    for v, c, _vs, _cs in g.edges:
-        words, chosen = assignment[c]
-        j = g.check_vars(c).index(v)
-        one_copies = [t for t in range(degree) if words[chosen[t], j] == 1]
-        zero_copies = [t for t in range(degree) if words[chosen[t], j] == 0]
-        perm = [0] * degree
-        ones = list(range(counts[v]))
-        zeros = list(range(counts[v], degree))
-        for src, dst in zip(ones, one_copies):
-            perm[src] = dst
-        for src, dst in zip(zeros, zero_copies):
-            perm[src] = dst
-        perms.append(tuple(perm))
-    return perms

@@ -10,9 +10,14 @@ codeword of the label.
 Four constructions are provided: biregular graphs with parity checks, the
 same with one subcode label everywhere, edge-variable graphs from a regular
 base graph, and edge-variable graphs from a biregular bipartite base with a
-label per side.  Cover reduction averages a cover codeword over each cloud,
-yielding a rational point that always satisfies the degree-one membership
-conditions of the base graph.
+label per side.
+
+Covers live here too.  Copy t of node x sits at x*l + t in a degree-l
+cover.  `all_lifts` enumerates one cover per class of copy renumbering,
+`reduce_cover_codeword` averages a cover codeword over each cloud into a
+rational point of the base graph's fundamental polytope, and
+`lift_realizability_check` goes back from such a point to a cover that
+realizes it.
 """
 
 from __future__ import annotations
@@ -22,22 +27,26 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .errors import (
+    DegreeTooLarge,
     InconsistentParameters,
     InputError,
     LengthMismatch,
     NotACodewordInCover,
     NotConnected,
     NotRegular,
+    SearchSpaceTooLarge,
+    SolverFailure,
     SpecIncomplete,
     SubcodeLengthMismatch,
 )
 from .gf2 import BitMatrix
 from .graphs import BipartiteGraph, Graph, connected, random_biregular
-from .polytope import Pseudocodeword
+from .polytope import Pseudocodeword, _check_length, _coerce_values
 from .subcodes import SubcodeSpec, from_parity
 
 PROVENANCES = ("case_a", "case_b", "case_c", "case_d", "imported")
@@ -61,6 +70,14 @@ class TannerGraph:
         labels = tuple(labels)
         if len(labels) != n_checks:
             raise InputError(f"{len(labels)} labels for {n_checks} checks")
+        # expander_params and graph_bounds read labels[0] (and, for case_d,
+        # the first right check's label) on the strength of the provenance
+        labelled = n_checks - labels.count(None)
+        one_label = labelled == n_checks == labels.count(labels[0])
+        if ((provenance == "case_a" and labelled)
+                or (provenance in ("case_b", "case_c") and not one_label)
+                or (provenance == "case_d" and labelled < n_checks)):
+            raise InputError(f"labels contradict provenance {provenance!r}")
         var_groups = [[] for _ in range(n_vars)]
         check_groups = [[] for _ in range(n_checks)]
         pairs = set()
@@ -335,7 +352,7 @@ def reconstruct_base(g: TannerGraph) -> Graph:
 def reconstruct_bipartite_base(g: TannerGraph) -> BipartiteGraph:
     """Bipartite base of a two-sided edge-variable construction.  Relies on
     the construction convention: socket 0 of each variable points at a left
-    check, and left checks occupy the low indices."""
+    check, left checks occupy the low indices, and each side has one label."""
     left = set()
     right = set()
     pairs = []
@@ -351,6 +368,9 @@ def reconstruct_bipartite_base(g: TannerGraph) -> BipartiteGraph:
     m = len(left)
     if left != set(range(m)) or right != set(range(m, g.n_checks)):
         raise InputError("left checks must occupy indices 0..m-1")
+    if (g.labels[:m].count(g.labels[0]) != m
+            or g.labels[m:].count(g.labels[m]) != g.n_checks - m):
+        raise InputError("each side's checks must share one label")
     return BipartiteGraph(m, g.n_checks - m,
                           tuple((l, r - m) for l, r in pairs))
 
@@ -426,11 +446,6 @@ class LiftSpec:
                 "permutations": [list(p) for p in self.permutations]}
 
 
-def identity_lift(g: TannerGraph, degree: int) -> LiftSpec:
-    ident = tuple(range(degree))
-    return LiftSpec(degree, (ident,) * len(g.edges))
-
-
 def random_lift(g: TannerGraph, degree: int, seed: int) -> LiftSpec:
     rng = np.random.default_rng([seed, degree, len(g.edges)])
     perms = tuple(tuple(int(x) for x in rng.permutation(degree))
@@ -439,10 +454,37 @@ def random_lift(g: TannerGraph, degree: int, seed: int) -> LiftSpec:
 
 
 def all_lifts(g: TannerGraph, degree: int):
-    """All covers of the given degree, in lexicographic permutation order."""
-    perms = list(itertools.permutations(range(degree)))
-    for combo in itertools.product(perms, repeat=len(g.edges)):
-        yield LiftSpec(degree, combo)
+    """One cover of the given degree per class of copy renumbering.
+
+    A spanning forest of the graph is fixed by merging components over
+    g.edges in edge order.  Tree edges take the identity and the cotree edges take
+    every permutation, in lexicographic order, so there are
+    (degree!)^(|E| - |V| + #components) specs and the first is the
+    identity cover.
+
+    Nothing is lost.  Renumbering the copies inside each cloud, copy t of
+    node x becoming copy sigma_x(t), turns the permutation pi of an edge
+    (v, c) into sigma_c pi sigma_v^-1.  Walking each tree outward from a
+    root with sigma = identity, every tree edge can be made the identity
+    by choosing sigma at its far end.  The renumbered cover is isomorphic
+    to the first, with the same sockets and labels; its codewords are the
+    first cover's codewords permuted inside clouds, with the same cloud
+    counts, so both covers reduce to the same set of points.
+    """
+    component = list(range(g.n_vars + g.n_checks))  # checks after variables
+    cotree = []
+    for e, (v, c, _, _) in enumerate(g.edges):
+        a, b = component[v], component[g.n_vars + c]
+        if a == b:
+            cotree.append(e)
+        else:
+            component = [a if x == b else x for x in component]
+    ident = tuple(range(degree))
+    for combo in itertools.product(itertools.permutations(ident), repeat=len(cotree)):
+        perms = [ident] * len(g.edges)
+        for e, p in zip(cotree, combo):
+            perms[e] = p
+        yield LiftSpec(degree, tuple(perms))
 
 
 def build_lift(g: TannerGraph, spec: LiftSpec) -> TannerGraph:
@@ -467,9 +509,12 @@ def build_lift(g: TannerGraph, spec: LiftSpec) -> TannerGraph:
 def reduce_cover_codeword(word, base: TannerGraph, lift: TannerGraph) -> Pseudocodeword:
     """Cloud averages of a cover codeword, as an exact rational point.
 
-    `lift` is the built cover (see build_lift).  The word must satisfy every
-    cover check; the result always satisfies the base graph's membership
-    conditions.
+    `lift` must be a cover of `base` in the cloud layout of build_lift: l
+    times the base edges, each projecting to a base edge (x // l, y // l)
+    with the same sockets, and each check cloud carrying its base label.
+    Socket uniqueness then makes every base edge a permutation between its
+    clouds.  The word must satisfy every cover check; the result always
+    satisfies the base graph's membership conditions.
     """
     word = np.asarray(word, dtype=np.uint8) & 1
     if word.ndim != 1 or word.shape[0] != lift.n_vars:
@@ -478,8 +523,11 @@ def reduce_cover_codeword(word, base: TannerGraph, lift: TannerGraph) -> Pseudoc
     if lift.n_vars % base.n_vars != 0:
         raise InconsistentParameters("cover size is not a multiple of the base size")
     l = lift.n_vars // base.n_vars
-    if lift.n_checks != base.n_checks * l:
-        raise InconsistentParameters("check clouds do not match the cover degree")
+    if (len(lift.edges) != l * len(base.edges)
+            or any(lift.labels[t::l] != base.labels for t in range(l))
+            or not ({(v // l, c // l, vs, cs) for v, c, vs, cs in lift.edges}
+                    <= set(base.edges))):
+        raise InconsistentParameters(f"graph is not a degree-{l} cover of the base")
     syndrome = lift.to_parity_matrix().mul_vec(word)
     if syndrome.any():
         bad = int(np.flatnonzero(syndrome)[0])
@@ -493,3 +541,117 @@ def reduce_cover_codeword(word, base: TannerGraph, lift: TannerGraph) -> Pseudoc
             raise AssertionError("cloud averages broke a parity check")
     return Pseudocodeword(values=tuple(Fraction(k, l) for k in counts),
                           certificate=f"cover-degree-{l}")
+
+
+# -- cover realizability ---------------------------------------------------------------
+
+
+MAX_LIFT_VARS = 10
+MAX_LIFT_DEGREE = 4
+
+
+@dataclass(frozen=True)
+class LiftWitness:
+    degree: int
+    permutations: tuple[tuple[int, ...], ...]
+
+
+def _distribute_local_codewords(words: np.ndarray, counts: list[int], degree: int):
+    """Multiset of `degree` local codewords whose column sums equal counts,
+    found by depth-first search; None when impossible."""
+    d = len(counts)
+
+    def rec(level: int, remaining: list[int], start: int, chosen: list[int]):
+        if level == degree:
+            return list(chosen) if all(r == 0 for r in remaining) else None
+        # prune: remaining ones must fit in the levels left
+        left = degree - level
+        if any(r > left or r < 0 for r in remaining):
+            return None
+        for w in range(start, words.shape[0]):
+            row = words[w]
+            nxt = [remaining[j] - int(row[j]) for j in range(d)]
+            if any(v < 0 for v in nxt):
+                continue
+            chosen.append(w)
+            got = rec(level + 1, nxt, w, chosen)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
+    return rec(0, list(counts), 0, [])
+
+
+def lift_realizability_check(g, p, max_degree: int = MAX_LIFT_DEGREE):
+    """Search for a cover of degree up to max_degree realizing p exactly.
+
+    p must be rational; candidate degrees are the multiples of the least
+    common denominator.  Returns a LiftWitness on success, None when no cover
+    within the degree cap realizes p (inconclusive for larger degrees).
+    Guarded at 10 variables and degree 4.
+    """
+    vals = _coerce_values(p)
+    _check_length(g, vals)
+    if g.n_vars > MAX_LIFT_VARS:
+        raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the guard ({MAX_LIFT_VARS})")
+    if max_degree > MAX_LIFT_DEGREE:
+        raise DegreeTooLarge(f"degree cap {max_degree} exceeds the guard ({MAX_LIFT_DEGREE})")
+    if any(v < 0 or v > 1 for v in vals):
+        return None
+    base_l = lcm(*(v.denominator for v in vals))
+    if base_l > max_degree:
+        raise DegreeTooLarge(f"denominator {base_l} exceeds the degree cap {max_degree}")
+    for degree in range(base_l, max_degree + 1, base_l):
+        counts = [int(v * degree) for v in vals]
+        assignment = {}
+        feasible = True
+        for c in range(g.n_checks):
+            idx = g.check_vars(c)
+            label = g.labels[c]
+            if label is None:
+                d = len(idx)
+                words = np.array([[ (w >> j) & 1 for j in range(d)]
+                                  for w in range(1 << d)
+                                  if bin(w).count("1") % 2 == 0], dtype=np.uint8)
+            else:
+                words = label.codewords
+            local_counts = [counts[i] for i in idx]
+            chosen = _distribute_local_codewords(words, local_counts, degree)
+            if chosen is None:
+                feasible = False
+                break
+            assignment[c] = (words, chosen)
+        if not feasible:
+            continue
+        perms = _assemble_permutations(g, counts, assignment, degree)
+        spec = LiftSpec(degree=degree, permutations=tuple(perms))
+        lift = build_lift(g, spec)
+        word = np.zeros(lift.n_vars, dtype=np.uint8)
+        for v in range(g.n_vars):
+            word[v * degree: v * degree + counts[v]] = 1
+        reduced = reduce_cover_codeword(word, g, lift)
+        if list(reduced.values) != vals:
+            raise SolverFailure("internal: assembled cover does not reduce to p")
+        return LiftWitness(degree=degree, permutations=tuple(perms))
+    return None
+
+
+def _assemble_permutations(g, counts, assignment, degree):
+    """Edge permutations matching the canonical cloud patterns (first
+    counts[v] copies of variable v are ones) to the chosen local codewords."""
+    perms = []
+    for v, c, _vs, _cs in g.edges:
+        words, chosen = assignment[c]
+        j = g.check_vars(c).index(v)
+        one_copies = [t for t in range(degree) if words[chosen[t], j] == 1]
+        zero_copies = [t for t in range(degree) if words[chosen[t], j] == 0]
+        perm = [0] * degree
+        ones = list(range(counts[v]))
+        zeros = list(range(counts[v], degree))
+        for src, dst in zip(ones, one_copies):
+            perm[src] = dst
+        for src, dst in zip(zeros, zero_copies):
+            perm[src] = dst
+        perms.append(tuple(perm))
+    return perms

@@ -2,6 +2,7 @@
 constants, exhaustive lemma checks, decoder equivalence, cover consistency,
 solver cross-checks, and reproducibility."""
 
+import itertools
 import json
 import time
 from collections import Counter
@@ -333,29 +334,43 @@ def tiny_graphs():
     return out
 
 
-def all_cover_reductions(g, max_degree=3):
+def product_lifts(g, degree):
+    """Every cover of the given degree, one permutation per edge in full
+    product: the reference for tanner.all_lifts, which keeps one cover per
+    class of copy renumbering."""
+    perms = list(itertools.permutations(range(degree)))
+    for combo in itertools.product(perms, repeat=len(g.edges)):
+        yield tanner.LiftSpec(degree, combo)
+
+
+def all_cover_reductions(g, max_degree, lifts=tanner.all_lifts):
     seen = set()
     for degree in range(1, max_degree + 1):
-        for spec in tanner.all_lifts(g, degree):
+        for spec in lifts(g, degree):
             cover = tanner.build_lift(g, spec)
             basis = nullspace_basis(cover.to_parity_matrix())
-            for mask in range(1 << len(basis)):
-                word = np.zeros(cover.n_vars, dtype=np.uint8)
-                for j, row in enumerate(basis):
-                    if (mask >> j) & 1:
-                        word ^= row
+            word = np.zeros(cover.n_vars, dtype=np.uint8)
+            for i in range(1 << len(basis)):
+                # Gray-code walk: step i flips the basis row of i's lowest set bit
+                if i:
+                    word ^= basis[(i & -i).bit_length() - 1]
                 p = tanner.reduce_cover_codeword(word, g, lift=cover)
                 seen.add(tuple(p.values))
     return seen
 
 
 def test_all_small_cover_reductions_validate():
-    graphs_pool = tiny_graphs()
-    assert len(graphs_pool) == 10
+    # every tiny graph up to degree 4, and two labelled constructions (225
+    # covers each) up to degree 3
+    pool = [(g, 4) for g in tiny_graphs()] + [
+        (tanner.build_case_c(graphs.complete(4), subcodes.builtin("spc3")), 3),
+        (tanner.build_case_b(2, 4, 4, subcodes.builtin("spc4"), seed=1), 3),
+    ]
+    assert len(pool) == 12
     fractional_seen = 0
-    for g in graphs_pool:
+    for g, max_degree in pool:
         assert g.n_vars <= 6
-        points = all_cover_reductions(g)
+        points = all_cover_reductions(g, max_degree)
         assert points
         for values in points:
             assert polytope.validate(g, list(values)).valid, (g.n_vars, values)
@@ -363,6 +378,15 @@ def test_all_small_cover_reductions_validate():
             fractional_seen += 1
     # covers must contribute genuinely fractional points somewhere
     assert fractional_seen >= 2
+
+
+def test_cover_classes_reduce_like_every_cover():
+    # tiny graph index and degree cap, where the full product stays cheap
+    tiny = tiny_graphs()
+    for index, max_degree in [(1, 3), (2, 3), (3, 3), (4, 3), (8, 3), (5, 2), (7, 2)]:
+        g = tiny[index]
+        classes = all_cover_reductions(g, max_degree)
+        assert classes == all_cover_reductions(g, max_degree, product_lifts), index
 
 
 def test_extremal_witnesses_validate_and_respect_distance():

@@ -295,6 +295,39 @@ def test_inexact_graph_json_values_exit_four(tmp_path, capsys, key, bad):
     assert repr(key) in capsys.readouterr().err
 
 
+def _relabelled(doc, at, label):
+    return {**doc, "labels": [label if i in at else lab
+                              for i, lab in enumerate(doc["labels"])]}
+
+
+def _contradicting_docs():
+    b = subcodes.builtin
+    case_b = tanner.build_case_b(2, 3, 6, b("spc3"), seed=1).to_json_dict()
+    case_c = _spc3_graph_doc()
+    rep3 = tanner.build_case_c(graphs.complete(4), b("rep3")).to_json_dict()["labels"][0]
+    case_d = tanner.build_case_d(graphs.complete_bipartite(3, 2),
+                                 b("rep2"), b("spc3")).to_json_dict()
+    return {
+        "case_a-labelled": {**case_b, "provenance": "case_a"},
+        "case_b-unlabelled-check": _relabelled(case_b, {3}, None),
+        "case_c-unlabelled": _relabelled(case_c, range(4), None),
+        "case_c-two-labels": _relabelled(case_c, {2}, rep3),
+        "case_d-unlabelled-check": _relabelled(case_d, {0}, None),
+        "case_d-two-right-labels": _relabelled(case_d, {4}, rep3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_contradicting_docs()))
+def test_labels_contradicting_provenance_exit_four(tmp_path, capsys, name):
+    # expander_params and graph_bounds trust the provenance, so a graph whose
+    # labels contradict it is refused when read, not mid-command
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(_contradicting_docs()[name]))
+    for command in ("construct", "analyze", "bounds", "verify"):
+        assert cli.main([command, "--input", str(path), "--alpha", "1/2"]) == 4, command
+        assert "label" in capsys.readouterr().err, command
+
+
 # -- simulate -----------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """The package runs on numpy alone; scipy is a test-time cross-check only.
-Every import in it is used, and every error class in it is raised."""
+Every import in it is used, sits at module level and forms no cycle, and
+every error class in it is raised."""
 
 import ast
 import os
@@ -101,9 +102,40 @@ def test_polytope_builds_every_lp_in_one_place():
 
 
 def test_imports_sit_at_module_level():
-    # The one import cycle, tanner -> polytope -> tanner, is broken inside
-    # polytope.lift_realizability_check; every other import is at the top.
     sites = [(name, func.name) for name, tree in parsed_modules().items()
              for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
              for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert sites == [("polytope.py", "lift_realizability_check")], sites
+    assert sites == [], sites
+
+
+def package_imports():
+    """Each module's intra-package imports, from `from . import x` and
+    `from .x import y` anywhere in it."""
+    modules = {name[:-3]: tree for name, tree in parsed_modules().items()}
+    graph = {}
+    for name, tree in modules.items():
+        targets = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets.update([node.module] if node.module
+                               else [a.name for a in node.names if a.name in modules])
+        graph[name] = targets
+    return graph
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = package_imports()
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(" -> ".join(path[path.index(name):] + [name]))
+        if name not in done:
+            path.append(name)
+            for target in sorted(graph[name]):
+                visit(target)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)

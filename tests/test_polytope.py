@@ -1043,9 +1043,9 @@ def test_hull_rows_match_hull_lp(case):
 
 def test_lift_realizability_integral_and_halves():
     g = triangle()
-    got = polytope.lift_realizability_check(g, [1, 1, 1])
+    got = tanner.lift_realizability_check(g, [1, 1, 1])
     assert got is not None and got.degree == 1
-    got = polytope.lift_realizability_check(g, [F(1, 2)] * 3)
+    got = tanner.lift_realizability_check(g, [F(1, 2)] * 3)
     assert got is not None and got.degree == 2
     spec = tanner.LiftSpec(got.degree, got.permutations)
     lift = tanner.build_lift(g, spec)
@@ -1053,26 +1053,26 @@ def test_lift_realizability_integral_and_halves():
 
 
 def test_lift_realizability_thirds_on_triangle():
-    got = polytope.lift_realizability_check(triangle(), [F(1, 3)] * 3)
+    got = tanner.lift_realizability_check(triangle(), [F(1, 3)] * 3)
     assert got is not None and got.degree == 3
 
 
 def test_lift_realizability_negative_cases():
     g = triangle()
     # (1/2, 1/2, 0) forces one parity cloud to see a single half-filled edge
-    assert polytope.lift_realizability_check(g, [F(1, 2), F(1, 2), 0]) is None
-    assert polytope.lift_realizability_check(g, [-1, 0, 0]) is None
+    assert tanner.lift_realizability_check(g, [F(1, 2), F(1, 2), 0]) is None
+    assert tanner.lift_realizability_check(g, [-1, 0, 0]) is None
     spc = single_check(SPC3)
-    got = polytope.lift_realizability_check(spc, [F(1, 2), F(1, 2), 0])
+    got = tanner.lift_realizability_check(spc, [F(1, 2), F(1, 2), 0])
     assert got is not None and got.degree == 2
 
 
 def test_lift_realizability_guards():
     g = triangle()
     with pytest.raises(DegreeTooLarge):
-        polytope.lift_realizability_check(g, [F(1, 5)] * 3)
+        tanner.lift_realizability_check(g, [F(1, 5)] * 3)
     with pytest.raises(DegreeTooLarge):
-        polytope.lift_realizability_check(g, [1, 1, 1], max_degree=6)
+        tanner.lift_realizability_check(g, [1, 1, 1], max_degree=6)
     big = tanner.build_case_a(2, 4, 12, seed=0)
     with pytest.raises(SearchSpaceTooLarge):
-        polytope.lift_realizability_check(big, [0] * 12)
+        tanner.lift_realizability_check(big, [0] * 12)
