@@ -122,9 +122,13 @@ def solve(m: BitMatrix, b) -> np.ndarray | None:
     return x
 
 
-def _message_block(lo: int, hi: int, k: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    return ((idx >> np.arange(k, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
+def _combinations(gen: np.ndarray) -> np.ndarray:
+    """Every XOR combination of the rows of gen: row j of the result is the
+    sum of the rows at the set bits of j, built by doubling."""
+    table = np.zeros((1 << len(gen), gen.shape[1]), dtype=gen.dtype)
+    for i, row in enumerate(gen):
+        table[1 << i: 2 << i] = table[: 1 << i] ^ row
+    return table
 
 
 def enumerate_codewords(m: BitMatrix, max_dim: int = MAX_ENUM_DIM) -> np.ndarray:
@@ -139,9 +143,43 @@ def enumerate_codewords(m: BitMatrix, max_dim: int = MAX_ENUM_DIM) -> np.ndarray
         raise DimensionTooLarge(f"codeword enumeration needs 2^{k} words, guard is 2^{max_dim}")
     if k == 0:
         return np.zeros((1, m.cols), dtype=np.uint8)
-    gen = np.array(basis, dtype=np.uint8)
-    msgs = _message_block(0, 1 << k, k)
-    return (msgs.astype(np.int64) @ gen.astype(np.int64) % 2).astype(np.uint8)
+    return _combinations(np.array(basis, dtype=np.uint8))
+
+
+# Combinations of the first basis vectors are tabulated once; the rest are
+# walked in Gray-code order, one XOR of the whole table per step.
+_TABLE_DIM = 16
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _least_weight(words: np.ndarray) -> int:
+    """Least weight over the rows of a packed uint64 word array, read byte
+    by byte from a 256-entry popcount table."""
+    return int(_POPCOUNT[words.view(np.uint8)].sum(axis=1).min())
+
+
+def _min_weight(basis: list[np.ndarray], n: int, max_dim: int) -> int:
+    """Least Hamming weight of a nonzero combination of the independent
+    length-n GF(2) vectors in `basis`, each packed into ceil(n/64) uint64
+    words.  DimensionTooLarge past max_dim vectors, ValueError on none.
+    """
+    k = len(basis)
+    if k > max_dim:
+        raise DimensionTooLarge(f"minimum distance needs 2^{k} words, guard is 2^{max_dim}")
+    if k == 0:
+        raise ValueError("zero-dimensional code has no nonzero codewords")
+    bits = np.zeros((k, -(-n // 64) * 64), dtype=np.uint8)
+    bits[:, :n] = basis
+    gen = np.packbits(bits, axis=1).view(np.uint64)
+    low = min(k, _TABLE_DIM)
+    table = _combinations(gen[:low])
+    best = _least_weight(table[1:])
+    # every later combination has a high vector in it, so none is zero
+    word = np.zeros(gen.shape[1], dtype=np.uint64)
+    for step in range(1, 1 << (k - low)):
+        word ^= gen[low + (step & -step).bit_length() - 1]
+        best = min(best, _least_weight(table ^ word))
+    return best
 
 
 def min_distance_exhaustive(m: BitMatrix, max_dim: int = MAX_ENUM_DIM) -> int:
@@ -155,22 +193,7 @@ def min_distance_exhaustive(m: BitMatrix, max_dim: int = MAX_ENUM_DIM) -> int:
         DimensionTooLarge: k exceeds the guard.
         ValueError: the code has no nonzero codeword (k = 0).
     """
-    basis = nullspace_basis(m)
-    k = len(basis)
-    if k > max_dim:
-        raise DimensionTooLarge(f"minimum distance needs 2^{k} words, guard is 2^{max_dim}")
-    if k == 0:
-        raise ValueError("zero-dimensional code has no nonzero codewords")
-    gen = np.array(basis, dtype=np.int64)
-    best = m.cols + 1
-    block = 1 << 16
-    for start in range(1, 1 << k, block):
-        stop = min(start + block, 1 << k)
-        words = _message_block(start, stop, k).astype(np.int64) @ gen % 2
-        w = int(words.sum(axis=1).min())
-        if w < best:
-            best = w
-    return best
+    return _min_weight(nullspace_basis(m), m.cols, max_dim)
 
 
 @dataclass(frozen=True)
@@ -203,7 +226,7 @@ def code_params(m: BitMatrix, max_dim: int = MAX_ENUM_DIM) -> CodeParams:
     # a coordinate is idle iff every basis vector is zero there
     stack = np.array(basis, dtype=np.uint8)
     idle = tuple(int(j) for j in np.nonzero(stack.sum(axis=0) == 0)[0])
-    dmin = min_distance_exhaustive(m, max_dim=max_dim)
+    dmin = _min_weight(basis, n, max_dim)
     return CodeParams(n=n, k=k, dmin=dmin, epsilon=Fraction(dmin, n),
                       idle_components=idle)
 
@@ -264,10 +287,6 @@ def parse_alist(text: str) -> BitMatrix:
     if not all(int(d) == row_deg[i] for i, d in enumerate(h.sum(axis=1))):
         raise ValueError("alist: row degrees disagree with matrix")
     return BitMatrix(h)
-
-
-def to_dense_text(m: BitMatrix) -> str:
-    return "\n".join("".join(str(int(b)) for b in row) for row in m.bits) + "\n"
 
 
 def parse_dense_text(text: str) -> BitMatrix:

@@ -13,9 +13,11 @@ entering variable's slot, and its new column there needs no division.
 Every pivot decision compares the same rationals that a tableau of the
 unscaled rows over Fraction would, so results are exact and deterministic
 (Bland's rule, no cycling).  Variables are implicitly nonnegative; rows may
-be <=, >= or ==.  maximize_each solves a sequence of objectives over one
-region, each from the previous optimal basis; lp_solve is its one-objective
-case.
+be <=, >= or ==.  LinearProgram entries are int or Fraction: an int is an
+exact rational already, and every other number is converted to a Fraction.
+maximize_each solves a sequence of objectives over one region, each from
+the previous optimal basis, and reads each optimum's value off the integer
+right-hand sides; lp_solve is its one-objective case.
 
 enumerate_vertices walks the basis graph of a bounded polyhedron under a
 lexicographic perturbation, which makes every pivot unique and covers every
@@ -40,6 +42,11 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)  # floats: exact binary expansion
 
 
+def _exact(x) -> int | Fraction:
+    """x as an exact rational: an int as it is, anything else a Fraction."""
+    return x if isinstance(x, int) else _frac(x)
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """maximize objective . x  subject to rows, x >= 0 componentwise.
@@ -48,25 +55,25 @@ class LinearProgram:
     """
 
     n_vars: int
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
+    objective: tuple[int | Fraction, ...]
+    rows: tuple[tuple[tuple[int | Fraction, ...], str, int | Fraction], ...]
 
 
 def lp(n_vars: int, objective, rows) -> LinearProgram:
-    """Validating constructor with Fraction coercion."""
+    """Validating constructor: ints are kept, other numbers become Fractions."""
     if n_vars < 1:
         raise ValueError("LP needs at least one variable")
-    obj = tuple(_frac(v) for v in objective)
+    obj = tuple(_exact(v) for v in objective)
     if len(obj) != n_vars:
         raise ValueError("objective length mismatch")
     out = []
     for coeffs, sense, rhs in rows:
-        cs = tuple(_frac(v) for v in coeffs)
+        cs = tuple(_exact(v) for v in coeffs)
         if len(cs) != n_vars:
             raise ValueError("row length mismatch")
         if sense not in _SENSES:
             raise ValueError(f"bad sense {sense!r}")
-        out.append((cs, sense, _frac(rhs)))
+        out.append((cs, sense, _exact(rhs)))
     return LinearProgram(n_vars=n_vars, objective=obj, rows=tuple(out))
 
 
@@ -79,7 +86,7 @@ class LpResult:
 
 def _scaled(values) -> tuple[list[int], int]:
     """Rationals times the lcm L of their denominators: (integers, L)."""
-    fs = [_frac(v) for v in values]
+    fs = [_exact(v) for v in values]
     scale = math.lcm(*(v.denominator for v in fs))
     return [v.numerator * (scale // v.denominator) for v in fs], scale
 
@@ -148,7 +155,10 @@ class _Tableau:
         self.n_orig = n
         self.n_struct = n + len(slacks)  # columns that survive phase 1
         self.n_art = len(art_rows)
-        self.art_cost = [Fraction(-1, norm_rows[i][1]) for i in art_rows]
+        # phase 1 weighs artificial i by -1/L_i; the integer costs are those
+        # weights times the lcm of the L_i
+        scale = math.lcm(*(norm_rows[i][1] for i in art_rows))
+        self.art_cost = [-(scale // norm_rows[i][1]) for i in art_rows]
         slack = {i: n + k for k, i in enumerate(slacks)}
         art = {i: self.n_struct + k for k, i in enumerate(art_rows)}
         # a <= row starts on its slack, every other row on its artificial;
@@ -197,14 +207,15 @@ class _Tableau:
                 obj = [a - f * b for a, b in zip(obj, self.T[r])]
         return obj
 
-    def run_bland(self, cost) -> str:
+    def run_bland(self, cost: list[int]) -> str:
         """Maximize cost.x from the current feasible basis; returns status.
 
-        The rational costs are scaled to integers, which keeps every sign of
-        the reduced-cost row; that row is pivoted along with the tableau.
-        The entering variable is the least one with a positive reduced cost.
+        The costs are integers, one per variable: rational costs scaled by a
+        positive integer keep every sign of the reduced-cost row.  That row
+        is pivoted along with the tableau.  The entering variable is the
+        least one with a positive reduced cost.
         """
-        obj = self._reduced_costs(_scaled(cost)[0])
+        obj = self._reduced_costs(cost)
         T, basis, cols = self.T, self.basis, self.cols
         while True:
             enter = min((c for c, v in zip(cols, obj) if v > 0), default=-1)
@@ -271,6 +282,13 @@ class _Tableau:
                 x[c] = Fraction(self.T[r][-1], self.D)
         return x
 
+    def value(self, cost: list[int], scale: int) -> Fraction:
+        """The objective (cost / scale).x at the current basis, from the
+        integer right-hand sides: one division, by D * scale."""
+        n = len(cost)
+        return Fraction(sum(cost[c] * self.T[r][-1] for r, c in enumerate(self.basis) if c < n),
+                        self.D * scale)
+
     def phase1(self) -> bool:
         """Drive artificials to zero; True when feasible.  On success the
         artificial columns are stripped and redundant rows dropped.
@@ -280,7 +298,7 @@ class _Tableau:
         """
         if self.n_art:
             n_struct = self.n_struct
-            self.run_bland([F0] * n_struct + self.art_cost)  # bounded below by construction
+            self.run_bland([0] * n_struct + self.art_cost)  # bounded below by construction
             for r, c in enumerate(self.basis):
                 if c >= n_struct and self.T[r][-1] != 0:
                     return False
@@ -317,17 +335,15 @@ def maximize_each(prob: LinearProgram, objectives):
     tb = _Tableau(prob)
     feasible = tb.phase1()
     for objective in objectives:
-        cost = [_frac(v) for v in objective]
+        cost, scale = _scaled(objective)
         if len(cost) != prob.n_vars:
             raise ValueError("objective length mismatch")
         if not feasible:
             yield LpResult(status="infeasible", value=None, x=None)
-        elif tb.run_bland(cost + [F0] * (tb.ncols - prob.n_vars)) == "unbounded":
+        elif tb.run_bland(cost + [0] * (tb.ncols - prob.n_vars)) == "unbounded":
             yield LpResult(status="unbounded", value=None, x=None)
         else:
-            x = tb.solution()
-            value = sum(c * v for c, v in zip(cost, x))
-            yield LpResult(status="optimal", value=value, x=tuple(x))
+            yield LpResult(status="optimal", value=tb.value(cost, scale), x=tuple(tb.solution()))
 
 
 def lp_solve(prob: LinearProgram) -> LpResult:

@@ -344,7 +344,8 @@ def _section(g, subset) -> tuple[list[int], LinearProgram]:
     coordinates to zero in a local cone's rows gives exactly the cone of the
     local codewords vanishing there, because codewords are nonnegative.
     Rows with no positive coefficient in "<=" form are implied by x >= 0 and
-    dropped.  The mass row sum(q) = 1 comes last.  A section point lies in
+    dropped.  The mass row sum(q) = 1 comes last.  Every coefficient is an
+    int, which the simplex takes as it is.  A section point lies in
     the fundamental polytope: at every check it is sum_w lambda_w w with
     sum_w lambda_w <= sum_w lambda_w |w| <= 1, and the zero word takes the
     rest.  DomainError names an index outside range(g.n_vars).
@@ -361,14 +362,14 @@ def _section(g, subset) -> tuple[list[int], LinearProgram]:
         local = {}
         for table, sense, sign in ((facets, "<=", -1), (eqs, "==", 1)):
             for a in table:
-                coeffs = [F0] * len(vs)
+                coeffs = [0] * len(vs)
                 for j, i in members:
-                    coeffs[i] = Fraction(sign * a[j])
+                    coeffs[i] = sign * a[j]
                 if any(v > 0 for v in coeffs) or (sense == "==" and any(coeffs)):
-                    local[(tuple(coeffs), sense, F0)] = None
+                    local[(tuple(coeffs), sense, 0)] = None
         rows.extend(local)
-    rows.append(([F1] * len(vs), "==", F1))
-    return vs, lp(len(vs), [F0] * len(vs), rows)
+    rows.append(([1] * len(vs), "==", 1))
+    return vs, lp(len(vs), [0] * len(vs), rows)
 
 
 def _point(g, vs, x, certificate: str) -> Pseudocodeword:
@@ -382,35 +383,14 @@ def _point(g, vs, x, certificate: str) -> Pseudocodeword:
 def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
     """A point of the normalized cone section over `subset` (a nonzero cone
     point supported inside it, scaled to mass 1), or None.  DomainError
-    names an index outside range(g.n_vars)."""
-    if not subset:
+    names an index outside range(g.n_vars).  `subset` may be any iterable
+    of indices, an iterator or a numpy array included."""
+    vs = _variables(g, subset)
+    if not vs:
         return None
-    vs, prob = _section(g, subset)
+    vs, prob = _section(g, vs)
     res = lp_solve(prob)
     return _point(g, vs, res.x, "subset-supported") if res.status == "optimal" else None
-
-
-def cone_point_with_support(g, support) -> Pseudocodeword | None:
-    """A polytope point whose support is exactly `support`, or None.
-
-    Each support coordinate is maximized over the section on the support,
-    in one maximize_each.  Proof: when every maximum is positive, the mean
-    of the optimal points is a section point positive at every member; when
-    one is zero (or the section is empty), no section point is positive
-    there, so no cone point has that support.  DomainError names an index
-    outside range(g.n_vars).
-    """
-    if not support:
-        return None
-    vs, prob = _section(g, support)
-    k = len(vs)
-    optima = []
-    for res in maximize_each(prob, ([F1 if j == i else F0 for j in range(k)] for i in range(k))):
-        if res.status != "optimal" or res.value == 0:
-            return None
-        optima.append(res.x)
-    return _point(g, vs, [sum(col) / k for col in zip(*optima)],
-                  f"support-forced:{','.join(map(str, vs))}")
 
 
 # -- stopping sets ------------------------------------------------------------------
@@ -438,18 +418,6 @@ def _peel(rules, s: int) -> int:
                 s ^= hit
                 changed = True
     return s
-
-
-def peel_to_max_stopping_subset(g, subset=None) -> frozenset:
-    """Largest subset of `subset` (default: every variable) meeting the
-    neighborhood criterion of `_peel`: every check touching it does so at
-    least threshold times (2 for plain parity, the local minimum distance
-    for subcodes).  For all-parity graphs this is exactly the union of the
-    contained stopping sets.  DomainError names an index outside
-    range(g.n_vars)."""
-    s = (1 << g.n_vars) - 1 if subset is None else sum(1 << v for v in _variables(g, subset))
-    s = _peel(_peel_rules(g), s)
-    return frozenset(v for v in range(s.bit_length()) if s >> v & 1)
 
 
 def min_stopping_set(g) -> StoppingSet | None:
@@ -535,11 +503,13 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
     largest q_i on the section.  A later top set E with sum_E M_i < 1/2 is
     skipped without an LP: every section point has mass(E) <= sum_E M_i, so
     its optimum 2 max mass(E) - 1 is negative, neither a positive optimum
-    nor the exact-zero tie.  The comparison is in Fractions.  The other top
-    sets are solved in the same combination order, so the deciding stage
-    and its first positive (or zero) top set are those of the full search;
-    only the warm-start chain is shorter, so where that top set's LP has
-    several optima the witness may be another of them.
+    nor the exact-zero tie.  The comparison is exact, on integers: with L
+    the lcm of the denominators of the M_i, it reads 2 sum_E L M_i < L.
+    The other top sets are solved in the same combination order, with
+    integer +-1 objectives, so the deciding stage and its first positive
+    (or zero) top set are those of the full search; only the warm-start
+    chain is shorter, so where that top set's LP has several optima the
+    witness may be another of them.
 
     Returns None when the section is empty, that is, when the cone has no
     nonzero point.  Guarded at 14 variables.
@@ -558,11 +528,15 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
     results = maximize_each(prob, iter(feed.pop, None))
     maxima = []  # M_i = (stage-1 optimum + 1) / 2, the largest q_i on the section
     for e in range(1, n + 1):
+        if e == 2:
+            # M_i = nums[i] / scale over the lcm of their denominators
+            scale = lcm(*(m.denominator for m in maxima))
+            nums = [m.numerator * (scale // m.denominator) for m in maxima]
         best = None
         for top in itertools.combinations(range(n), e):
-            if e > 1 and 2 * sum(maxima[i] for i in top) < 1:
+            if e > 1 and 2 * sum(nums[i] for i in top) < scale:
                 continue  # mass(E) <= sum of M_i < 1/2: the optimum is negative
-            feed.append([F1 if i in top else -F1 for i in range(n)])
+            feed.append([1 if i in top else -1 for i in range(n)])
             res = next(results)
             if res.status == "infeasible":
                 return None  # phase 1 failed: every objective reads the same

@@ -115,6 +115,57 @@ def test_min_distance_matches_brute_force():
             assert gf2.min_distance_exhaustive(m) == min(weights)
 
 
+def reference_min_distance(m: BitMatrix) -> int:
+    """Minimum distance by int64 matrix products: every message block of
+    2^16 nonzero messages is multiplied by the generator rows, mod 2.  The
+    packed-word enumerator under test must agree with it."""
+    basis = gf2.nullspace_basis(m)
+    k = len(basis)
+    gen = np.array(basis, dtype=np.int64)
+    best = m.cols + 1
+    for start in range(1, 1 << k, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << k), dtype=np.uint64)[:, None]
+        msgs = ((idx >> np.arange(k, dtype=np.uint64)[None, :]) & 1).astype(np.int64)
+        best = min(best, int((msgs @ gen % 2).sum(axis=1).min()))
+    return best
+
+
+def systematic_matrix(rng, n, k):
+    """A random parity-check matrix [I | A] of a code of length n and
+    dimension exactly k."""
+    r = n - k
+    a = rng.integers(0, 2, size=(r, k), dtype=np.uint8)
+    return BitMatrix(np.concatenate([np.eye(r, dtype=np.uint8), a], axis=1))
+
+
+@pytest.mark.parametrize("n, k", [(80, 1), (200, 1), (65, 5), (128, 12), (129, 16),
+                                  (70, 17), (90, 18), (40, 19), (66, 20)])
+def test_min_distance_matches_matmul_reference(n, k):
+    # several packed words (n > 64), one vector, and dimensions on both
+    # sides of the 2^16 table
+    m = systematic_matrix(np.random.default_rng(n * 100 + k), n, k)
+    assert len(gf2.nullspace_basis(m)) == k
+    want = reference_min_distance(m)
+    assert gf2.min_distance_exhaustive(m) == want
+    assert gf2.code_params(m).dmin == want
+
+
+def test_min_weight_reaches_past_the_table():
+    # 17 vectors on 100 coordinates: vector i < 16 is e_i plus its own block
+    # of five coordinates, and vector 16 is e_16 plus vector 0's block.  The
+    # lone weight-2 word, vectors 0 and 16 together, needs the Gray walk.
+    n = 100
+    basis = []
+    for i in range(17):
+        v = np.zeros(n, dtype=np.uint8)
+        v[i] = 1
+        block = 20 + 5 * (i % 16)
+        v[block:block + 5] = 1
+        basis.append(v)
+    assert gf2._min_weight(basis, n, 24) == 2
+    assert gf2._min_weight(basis[:16], n, 24) == 6
+
+
 def test_min_distance_dimension_guard():
     m = BitMatrix(np.zeros((1, 26), dtype=np.uint8))  # kernel dimension 26 > 24
     with pytest.raises(DimensionTooLarge):
@@ -157,9 +208,14 @@ def test_alist_rejects_malformed():
         gf2.parse_alist("2 1\n9 1\n9 9\n1\n1 \n1\n1\n")
 
 
+def to_dense_text(m: BitMatrix) -> str:
+    """One line of 0/1 characters per matrix row."""
+    return "\n".join("".join(str(int(b)) for b in row) for row in m.bits) + "\n"
+
+
 def test_dense_text_round_trip():
     m = BitMatrix(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
-    assert gf2.parse_dense_text(gf2.to_dense_text(m)) == m
+    assert gf2.parse_dense_text(to_dense_text(m)) == m
 
 
 @settings(max_examples=60, deadline=None)

@@ -134,6 +134,11 @@ class FractionTableau:
             x[c] = self.rhs[r]
         return x[: self.n_orig]
 
+    def value(self, cost, scale):
+        """The objective (cost / scale).x, as a sum of Fraction products over
+        the solution."""
+        return sum(F(c, scale) * v for c, v in zip(cost, self.solution()))
+
     def phase1(self):
         if self.n_art:
             cost = [F0] * self.ncols

@@ -3,7 +3,8 @@
 Oracles: stopping sets are recounted with plain set arithmetic; the
 generalized support search is cross-checked by a scipy float LP built from
 the raw definition (all local codewords, zero-forced off-support
-coordinates) and by an exact-support search, `reference_min_stopping_set`;
+coordinates) and by an exact-support search, `reference_min_stopping_set`,
+which certifies each support with `cone_point_with_support`;
 the local row descriptions are checked against the exact multiplier layout
 and a hull LP over the codewords, and plain-check membership against every
 odd-set inequality; the paper's threshold, half-set and quarter-set lemmas
@@ -263,13 +264,20 @@ def test_peel_matches_union_of_stopping_sets():
             for combo in itertools.combinations(range(g.n_vars), size):
                 if is_simple_stopping(g, set(combo)):
                     union |= set(combo)
-        assert polytope.peel_to_max_stopping_subset(g) == union
+        assert peel_set(g) == union
 
 
 def test_peel_with_subcode_thresholds():
     g = single_check(HAMMING)
-    assert polytope.peel_to_max_stopping_subset(g) == frozenset(range(7))
-    assert polytope.peel_to_max_stopping_subset(g, {0, 1}) == frozenset()
+    assert peel_set(g) == frozenset(range(7))
+    assert peel_set(g, {0, 1}) == frozenset()
+
+
+def peel_set(g, subset=None) -> frozenset:
+    """polytope._peel from `subset` (default: every variable), as a set."""
+    s = (1 << g.n_vars) - 1 if subset is None else sum(1 << v for v in subset)
+    s = polytope._peel(polytope._peel_rules(g), s)
+    return frozenset(v for v in range(g.n_vars) if s >> v & 1)
 
 
 def reference_peel(g, subset=None) -> frozenset:
@@ -324,7 +332,6 @@ def test_mask_peel_matches_reference_peel(case):
         want = reference_peel(g, start)
         mask = (1 << g.n_vars) - 1 if start is None else sum(1 << v for v in start)
         assert polytope._peel(rules, mask) == sum(1 << v for v in want)
-        assert polytope.peel_to_max_stopping_subset(g, start) == want
 
 
 def test_min_stopping_set_simple_matches_brute_force():
@@ -437,7 +444,7 @@ def reference_min_stopping_set(g):
                 continue
             if g.all_simple:
                 return combo, "simple"
-            if polytope.cone_point_with_support(g, combo) is not None:
+            if cone_point_with_support(g, combo) is not None:
                 return combo, "generalized"
     return None
 
@@ -489,7 +496,7 @@ def test_min_stopping_set_matches_exact_support_reference():
         if g.n_vars <= polytope.MAX_BSC_VARS:
             assert (bsc_matching_reference(g) is None) == (got is None), g.labels
     assert polytope.min_stopping_set(pool[0]) is None
-    assert polytope.peel_to_max_stopping_subset(pool[0]) == {0, 1, 3}
+    assert peel_set(pool[0]) == {0, 1, 3}
 
 
 def test_min_bsc_runs_no_stopping_set_search(monkeypatch):
@@ -497,7 +504,6 @@ def test_min_bsc_runs_no_stopping_set_search(monkeypatch):
         raise AssertionError("the BSC oracle ran a stopping-set search")
 
     monkeypatch.setattr(polytope, "min_stopping_set", refuse)
-    monkeypatch.setattr(polytope, "peel_to_max_stopping_subset", refuse)
     assert polytope.min_bsc_pseudoweight(triangle())[0] == 3
     assert polytope.min_bsc_pseudoweight(square())[0] == 4
     assert polytope.min_bsc_pseudoweight(single_check(HAMMING))[0] == 3
@@ -512,14 +518,37 @@ def test_min_stopping_set_guards():
 # -- cone points ---------------------------------------------------------------------
 
 
+def cone_point_with_support(g, support):
+    """A polytope point whose support is exactly `support`, or None: the
+    reference for generalized stopping-set supports.
+
+    Each support coordinate is maximized over the section on the support,
+    in one maximize_each.  Proof: when every maximum is positive, the mean
+    of the optimal points is a section point positive at every member; when
+    one is zero (or the section is empty), no section point is positive
+    there, so no cone point has that support.
+    """
+    if not support:
+        return None
+    vs, prob = polytope._section(g, support)
+    k = len(vs)
+    optima = []
+    for res in maximize_each(prob, ([int(j == i) for j in range(k)] for i in range(k))):
+        if res.status != "optimal" or res.value == 0:
+            return None
+        optima.append(res.x)
+    return polytope._point(g, vs, [sum(col) / k for col in zip(*optima)],
+                           f"support-forced:{','.join(map(str, vs))}")
+
+
 def test_cone_point_with_support_on_triangle():
     g = triangle()
-    p = polytope.cone_point_with_support(g, (0, 1, 2))
+    p = cone_point_with_support(g, (0, 1, 2))
     assert p is not None
     assert p.support() == (0, 1, 2)
     assert polytope.validate(g, p).valid
     # two edges of a triangle leave a degree-1 check, so no exact support
-    assert polytope.cone_point_with_support(g, (0, 1)) is None
+    assert cone_point_with_support(g, (0, 1)) is None
 
 
 def test_has_nonzero_cone_point_within():
@@ -531,21 +560,32 @@ def test_has_nonzero_cone_point_within():
     assert polytope.validate(g, p).valid
 
 
+def test_has_nonzero_cone_point_within_takes_any_iterable():
+    # emptiness is read after the indices are collected, so iterators and
+    # numpy index arrays give what the same indices in a tuple give
+    g = tanner.build_case_a(2, 4, 6, seed=1)
+    assert polytope.has_nonzero_cone_point_within(g, iter(())) is None
+    assert polytope.has_nonzero_cone_point_within(g, np.array([], dtype=int)) is None
+    for subset in ((0, 1), tuple(range(6))):
+        want = polytope.has_nonzero_cone_point_within(g, subset)
+        for form in (iter(subset), np.array(subset), (v for v in subset)):
+            assert polytope.has_nonzero_cone_point_within(g, form) == want
+
+
 def test_cone_point_with_support_labelled():
     g = single_check(HAMMING)
     w = HAMMING.nonzero_codewords()[0]
     support = tuple(j for j in range(7) if w[j])
-    p = polytope.cone_point_with_support(g, support)
+    p = cone_point_with_support(g, support)
     assert p is not None
     assert p.support() == support
     # weight-2 supports are not codeword supports and the hull forbids them
-    assert polytope.cone_point_with_support(g, (0, 1)) is None
+    assert cone_point_with_support(g, (0, 1)) is None
 
 
 @pytest.mark.parametrize("subset, bad", [({0, 1, 20}, 20), ({-1, 2}, -1)])
-@pytest.mark.parametrize("oracle", [polytope.peel_to_max_stopping_subset,
-                                    polytope.has_nonzero_cone_point_within,
-                                    polytope.cone_point_with_support])
+@pytest.mark.parametrize("oracle", [polytope.has_nonzero_cone_point_within,
+                                    cone_point_with_support])
 def test_subset_indices_outside_the_graph_are_refused(oracle, subset, bad):
     # index 20 touches no check, so a peel would keep it; index -1 would
     # wrap around to the last variable without touching any check row
@@ -695,7 +735,7 @@ def test_every_minimal_stopping_set_supports_a_cone_point():
                     continue
                 minimal.append(frozenset(s))
         for s in minimal:
-            assert polytope.cone_point_with_support(g, tuple(s)) is not None
+            assert cone_point_with_support(g, tuple(s)) is not None
 
 
 # -- local row descriptions -------------------------------------------------------------
@@ -824,6 +864,20 @@ def test_row_check_rejects_invalid_and_redundant_rows():
         polytope._check_rows(gens, [], [(1, -1, 0)], 3)
 
 
+def test_section_coefficients_are_ints():
+    # the simplex takes ints as they are, with no Fraction round trip
+    b = subcodes.builtin
+    for g in (triangle(), single_check(HAMMING),
+              tanner.build_case_c(graphs.complete(4), b("spc3")),
+              tanner.build_case_d(graphs.complete_bipartite(3, 2), b("rep2"), b("spc3")),
+              tanner.build_case_b(2, 8, 8, b("exthamming84"), 0)):
+        _, prob = polytope._section(g, range(g.n_vars))
+        values = [*prob.objective]
+        for coeffs, _, rhs in prob.rows:
+            values += [*coeffs, rhs]
+        assert all(type(v) is int for v in values), g.labels
+
+
 def test_spc_label_rows_equal_plain_closed_form():
     for d in range(3, 9):
         label, plain = single_check(subcodes.builtin(f"spc{d}")), plain_check(d)
@@ -846,7 +900,7 @@ def test_cone_points_match_multiplier_reference_on_single_checks():
                 want = lp_solve(lp(total, [F(0)] * total, rows)).status == "optimal"
                 vs, section = polytope._section(g, support)
                 assert vs == list(support) and section.n_vars == size
-                got = polytope.cone_point_with_support(g, support)
+                got = cone_point_with_support(g, support)
                 assert (got is not None) == want, (g.labels, support)
                 if got is not None:
                     assert got.support() == support
@@ -869,7 +923,7 @@ def test_bsc_top_set_optima_match_multiplier_reference():
     for g in pool:
         # the region min_bsc_pseudoweight searches: the cone on the peeled
         # candidate set, normalized to mass 1
-        active = sorted(polytope.peel_to_max_stopping_subset(g))
+        active = sorted(peel_set(g))
         k = len(active)
         _, section = polytope._section(g, active)
         cap = len(polytope.min_stopping_set(g).support)
