@@ -27,7 +27,8 @@ class FractionTableau:
         n = prob.n_vars
         norm_rows = []
         for coeffs, sense, rhs in prob.rows:
-            c, r = list(coeffs), rhs
+            # lp() keeps ints; int / int would divide to a float
+            c, r = [F(v) for v in coeffs], F(rhs)
             if r < 0:
                 c = [-v for v in c]
                 r = -r
@@ -442,6 +443,10 @@ def mixed_region_and_objectives(draw):
 # move every entering variable away from its own slot
 @example((lp(2, [0, 0], [([1, 0], "<=", 2), ([1, 1], ">=", 1), ([0, 1], "<=", 2)]),
           [[1, 1], [-1, 0]]))
+# an int row and a Fraction row tie at ratio 1/3; Bland's rule takes the
+# lesser basic variable, the slack of row 1
+@example((lp(3, [0, 0, 0], [([0, 3, 0], ">=", 1), ([0, F(3), 0], "<=", 1),
+                            ([0, 0, 0], "<=", 0), ([0, 0, 0], "<=", 0)]), [[0, 0, 0]]))
 def test_integer_tableau_takes_the_fraction_pivots(case):
     prob, objectives = case
 
