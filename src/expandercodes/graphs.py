@@ -294,10 +294,6 @@ def parse_bipartite_edge_list(text: str) -> BipartiteGraph:
     return BipartiteGraph(tl + 1, tr + 1, tuple(sorted(set(edges))))
 
 
-def to_edge_list(g) -> str:
-    return "\n".join(f"{u} {v}" for (u, v) in g.edges) + "\n"
-
-
 _NAMED = {
     "petersen": petersen,
     "cube": cube,

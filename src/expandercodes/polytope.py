@@ -12,13 +12,16 @@ description.
 
 Every cone question is an LP over one region, the normalized cone section
 (`_section`): the cone points supported inside a set of variables, one LP
-variable per member, with coordinate sum 1.  Every section point lies in
-the polytope, and a set has one exactly when it holds a nonzero cone
-point.  So a generalized stopping set, the support of a cone point
-(Vontobel & Koetter 2005), is the least screened candidate set whose
-section is nonempty.  The block-error (flipping-set) weight minimum comes
-from a staged top-set search over the section on the peeled core: one
-exact simplex, warm-started from one top set's optimal basis to the next.
+variable per member, with coordinate sum 1.  `_section` is the one LP
+builder, and it presolves: every distinct row once, opposite inequalities
+as one equality, no inequality that an equality row already implies.
+Every section point lies in the polytope, and a set has one exactly when
+it holds a nonzero cone point.  So a generalized stopping set, the support
+of a cone point (Vontobel & Koetter 2005), is the least screened candidate
+set whose section is nonempty.  The block-error (flipping-set) weight
+minimum comes from a staged top-set search over the section on the peeled
+core: one exact simplex, warm-started from one top set's optimal basis to
+the next.
 Stage 1 maximizes each coordinate, so it yields M_i, the largest q_i on the
 section; a later top set E with sum_E M_i < 1/2 is skipped unsolved, since
 every section point has mass(E) <= sum_E M_i and so a negative optimum
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Integral
 
 from .errors import (
     DomainError,
@@ -325,9 +329,15 @@ def awgn_weight(q):
 
 
 def _variables(g, subset) -> list[int]:
-    """The distinct indices of `subset`, sorted; DomainError names the first
-    one outside range(g.n_vars)."""
-    vs = sorted(set(subset))
+    """The distinct indices of `subset`, sorted, as ints; DomainError names
+    the first one that is not an integer (Python or numpy; a bool, as in a
+    mask passed by mistake, is not), or else the first one outside
+    range(g.n_vars)."""
+    vs = list(subset)
+    bad = [v for v in vs if not isinstance(v, Integral) or isinstance(v, bool)]
+    if bad:
+        raise DomainError(f"variable index {bad[0]!r} is not an integer")
+    vs = sorted({int(v) for v in vs})
     bad = [v for v in vs if not 0 <= v < g.n_vars]
     if bad:
         raise DomainError(f"variable index {bad[0]} outside range({g.n_vars})")
@@ -344,30 +354,47 @@ def _section(g, subset) -> tuple[list[int], LinearProgram]:
     coordinates to zero in a local cone's rows gives exactly the cone of the
     local codewords vanishing there, because codewords are nonnegative.
     Rows with no positive coefficient in "<=" form are implied by x >= 0 and
-    dropped.  The mass row sum(q) = 1 comes last.  Every coefficient is an
-    int, which the simplex takes as it is.  A section point lies in
-    the fundamental polytope: at every check it is sum_w lambda_w w with
-    sum_w lambda_w <= sum_w lambda_w |w| <= 1, and the zero word takes the
-    rest.  DomainError names an index outside range(g.n_vars).
+    dropped.  The rows of all checks are then presolved as one set, which
+    changes only the description, not the region: each distinct row is
+    kept once; a pair a.q <= 0, -a.q <= 0 becomes the one row a.q = 0; an
+    inequality on the coefficients of an equality row, up to sign, goes;
+    the rows left keep their first-occurrence order.  Repeated and opposite
+    rows are pure degeneracy for the simplex: a (2,2,7) ring's 14 local
+    rows become 7 equalities, and two hamming74 checks on the same 7
+    variables give 28 rows, not 56.  The mass row sum(q) = 1 comes last.
+    Every coefficient is an int, which the simplex takes as it is.  A
+    section point lies in the fundamental polytope: at every check it is
+    sum_w lambda_w w with sum_w lambda_w <= sum_w lambda_w |w| <= 1, and the
+    zero word takes the rest.  DomainError names an index that is not an
+    integer or lies outside range(g.n_vars).
     """
     vs = _variables(g, subset)
     pos = {v: i for i, v in enumerate(vs)}
-    rows = []
+    found = {}  # (coeffs, sense) -> None, in first-occurrence order
     for c in range(g.n_checks):
         idx = g.check_vars(c)
         members = [(j, pos[v]) for j, v in enumerate(idx) if v in pos]
         if not members:
             continue
         facets, eqs = _cone_rows(g.labels[c], len(idx))
-        local = {}
         for table, sense, sign in ((facets, "<=", -1), (eqs, "==", 1)):
             for a in table:
                 coeffs = [0] * len(vs)
                 for j, i in members:
                     coeffs[i] = sign * a[j]
                 if any(v > 0 for v in coeffs) or (sense == "==" and any(coeffs)):
-                    local[(tuple(coeffs), sense, 0)] = None
-        rows.extend(local)
+                    found[tuple(coeffs), sense] = None
+    # presolve: a . q <= 0 with -a . q <= 0 is a . q = 0, and an equality
+    # (up to sign) makes both inequalities on its coefficients redundant
+    rows = {}
+    for a, sense in found:
+        neg = tuple(-v for v in a)
+        if sense == "==" or (neg, "<=") in found:
+            if (neg, "==") not in rows:
+                rows[a, "=="] = None
+        elif (a, "==") not in found and (neg, "==") not in found:
+            rows[a, "<="] = None
+    rows = [(a, sense, 0) for a, sense in rows]
     rows.append(([1] * len(vs), "==", 1))
     return vs, lp(len(vs), [0] * len(vs), rows)
 
@@ -383,8 +410,9 @@ def _point(g, vs, x, certificate: str) -> Pseudocodeword:
 def has_nonzero_cone_point_within(g, subset) -> Pseudocodeword | None:
     """A point of the normalized cone section over `subset` (a nonzero cone
     point supported inside it, scaled to mass 1), or None.  DomainError
-    names an index outside range(g.n_vars).  `subset` may be any iterable
-    of indices, an iterator or a numpy array included."""
+    names an index that is not an integer or lies outside range(g.n_vars).
+    `subset` may be any iterable of indices, an iterator or a numpy array
+    included."""
     vs = _variables(g, subset)
     if not vs:
         return None

@@ -13,7 +13,7 @@ base graph, and edge-variable graphs from a biregular bipartite base with a
 label per side.
 
 Covers live here too.  Copy t of node x sits at x*l + t in a degree-l
-cover.  `all_lifts` enumerates one cover per class of copy renumbering,
+cover.  `random_lift` and `build_lift` construct covers,
 `reduce_cover_codeword` averages a cover codeword over each cloud into a
 rational point of the base graph's fundamental polytope, and
 `lift_realizability_check` goes back from such a point to a cover that
@@ -22,7 +22,6 @@ realizes it.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -451,40 +450,6 @@ def random_lift(g: TannerGraph, degree: int, seed: int) -> LiftSpec:
     perms = tuple(tuple(int(x) for x in rng.permutation(degree))
                   for _ in g.edges)
     return LiftSpec(degree, perms)
-
-
-def all_lifts(g: TannerGraph, degree: int):
-    """One cover of the given degree per class of copy renumbering.
-
-    A spanning forest of the graph is fixed by merging components over
-    g.edges in edge order.  Tree edges take the identity and the cotree edges take
-    every permutation, in lexicographic order, so there are
-    (degree!)^(|E| - |V| + #components) specs and the first is the
-    identity cover.
-
-    Nothing is lost.  Renumbering the copies inside each cloud, copy t of
-    node x becoming copy sigma_x(t), turns the permutation pi of an edge
-    (v, c) into sigma_c pi sigma_v^-1.  Walking each tree outward from a
-    root with sigma = identity, every tree edge can be made the identity
-    by choosing sigma at its far end.  The renumbered cover is isomorphic
-    to the first, with the same sockets and labels; its codewords are the
-    first cover's codewords permuted inside clouds, with the same cloud
-    counts, so both covers reduce to the same set of points.
-    """
-    component = list(range(g.n_vars + g.n_checks))  # checks after variables
-    cotree = []
-    for e, (v, c, _, _) in enumerate(g.edges):
-        a, b = component[v], component[g.n_vars + c]
-        if a == b:
-            cotree.append(e)
-        else:
-            component = [a if x == b else x for x in component]
-    ident = tuple(range(degree))
-    for combo in itertools.product(itertools.permutations(ident), repeat=len(cotree)):
-        perms = [ident] * len(g.edges)
-        for e, p in zip(cotree, combo):
-            perms[e] = p
-        yield LiftSpec(degree, tuple(perms))
 
 
 def build_lift(g: TannerGraph, spec: LiftSpec) -> TannerGraph:

@@ -334,16 +334,50 @@ def tiny_graphs():
     return out
 
 
+def all_lifts(g, degree):
+    """One cover of the given degree per class of copy renumbering.
+
+    A spanning forest of the graph is fixed by merging components over
+    g.edges in edge order.  Tree edges take the identity and the cotree
+    edges take every permutation, in lexicographic order, so there are
+    (degree!)^(|E| - |V| + #components) specs and the first is the
+    identity cover.
+
+    Nothing is lost.  Renumbering the copies inside each cloud, copy t of
+    node x becoming copy sigma_x(t), turns the permutation pi of an edge
+    (v, c) into sigma_c pi sigma_v^-1.  Walking each tree outward from a
+    root with sigma = identity, every tree edge can be made the identity
+    by choosing sigma at its far end.  The renumbered cover is isomorphic
+    to the first, with the same sockets and labels; its codewords are the
+    first cover's codewords permuted inside clouds, with the same cloud
+    counts, so both covers reduce to the same set of points.
+    """
+    component = list(range(g.n_vars + g.n_checks))  # checks after variables
+    cotree = []
+    for e, (v, c, _, _) in enumerate(g.edges):
+        a, b = component[v], component[g.n_vars + c]
+        if a == b:
+            cotree.append(e)
+        else:
+            component = [a if x == b else x for x in component]
+    ident = tuple(range(degree))
+    for combo in itertools.product(itertools.permutations(ident), repeat=len(cotree)):
+        perms = [ident] * len(g.edges)
+        for e, p in zip(cotree, combo):
+            perms[e] = p
+        yield tanner.LiftSpec(degree, tuple(perms))
+
+
 def product_lifts(g, degree):
     """Every cover of the given degree, one permutation per edge in full
-    product: the reference for tanner.all_lifts, which keeps one cover per
-    class of copy renumbering."""
+    product: the reference for all_lifts, which keeps one cover per class
+    of copy renumbering."""
     perms = list(itertools.permutations(range(degree)))
     for combo in itertools.product(perms, repeat=len(g.edges)):
         yield tanner.LiftSpec(degree, combo)
 
 
-def all_cover_reductions(g, max_degree, lifts=tanner.all_lifts):
+def all_cover_reductions(g, max_degree, lifts=all_lifts):
     seen = set()
     for degree in range(1, max_degree + 1):
         for spec in lifts(g, degree):
@@ -357,6 +391,21 @@ def all_cover_reductions(g, max_degree, lifts=tanner.all_lifts):
                 p = tanner.reduce_cover_codeword(word, g, lift=cover)
                 seen.add(tuple(p.values))
     return seen
+
+
+def test_all_lifts_count():
+    # one cover per copy renumbering class: (l!)^(|E| - |V| + #components)
+    g = tanner.TannerGraph(1, 1, [(0, 0, 0, 0)])
+    assert sum(1 for _ in all_lifts(g, 2)) == 1
+    assert sum(1 for _ in all_lifts(g, 3)) == 1
+    tri = ring(3)
+    assert sum(1 for _ in all_lifts(tri, 2)) == 2
+    # the first spec is the identity cover
+    assert next(all_lifts(tri, 3)).permutations == ((0, 1, 2),) * 6
+    # the forest grows in edge order, so the last edge closes the cycle
+    varying = {e for spec in all_lifts(tri, 2)
+               for e, p in enumerate(spec.permutations) if p != (0, 1)}
+    assert varying == {5}
 
 
 def test_all_small_cover_reductions_validate():

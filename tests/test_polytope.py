@@ -11,9 +11,12 @@ odd-set inequality; the paper's threshold, half-set and quarter-set lemmas
 are a reference function checked on random hull points; weight minima are
 pinned on cycle codes where every value is known in closed form, and the
 pruned BSC top-set search is compared with the unpruned staged search,
-`reference_min_bsc_pseudoweight`.
+`reference_min_bsc_pseudoweight`; the presolved cone section is compared
+with the unpresolved row builder, `reference_section`, by vertex sets and
+LP optima.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -28,6 +31,7 @@ from expandercodes import graphs, lpsolve, polytope, subcodes, tanner
 from expandercodes.errors import (
     DegreeTooLarge,
     DomainError,
+    InfeasibleRegion,
     LengthMismatch,
     SearchSpaceTooLarge,
     SolverFailure,
@@ -594,6 +598,18 @@ def test_subset_indices_outside_the_graph_are_refused(oracle, subset, bad):
         oracle(g, subset)
 
 
+@pytest.mark.parametrize("bad", [1.5, "a", None, F(1, 2), True, np.True_])
+@pytest.mark.parametrize("oracle", [polytope.has_nonzero_cone_point_within,
+                                    cone_point_with_support])
+def test_subset_indices_that_are_not_integers_are_refused(oracle, bad):
+    g = tanner.build_case_a(2, 4, 6, seed=1)
+    with pytest.raises(DomainError, match="is not an integer"):
+        oracle(g, [0, bad])
+    # numpy integers are integers
+    assert (oracle(g, list(np.arange(6, dtype=np.int32)))
+            == oracle(g, [np.int64(v) for v in range(6)]) == oracle(g, range(6)))
+
+
 # -- weight minima ---------------------------------------------------------------------
 
 
@@ -659,9 +675,11 @@ def test_min_awgn_none_guard_and_budget(monkeypatch):
     assert polytope.min_awgn_pseudoweight(g) is None
     with pytest.raises(SearchSpaceTooLarge):
         polytope.min_awgn_pseudoweight(tanner.build_case_a(2, 4, 66, seed=0))
+    # the square's presolved section is one point, so the walk needs an
+    # instance with more vertices than the budget
     monkeypatch.setattr(polytope, "AWGN_BASIS_BUDGET", 2)
     with pytest.raises(SearchSpaceTooLarge):
-        polytope.min_awgn_pseudoweight(square())
+        polytope.min_awgn_pseudoweight(tanner.build_case_a(2, 4, 6, seed=0))
 
 
 def test_min_awgn_runs_phase_one_once(monkeypatch):
@@ -876,6 +894,110 @@ def test_section_coefficients_are_ints():
         for coeffs, _, rhs in prob.rows:
             values += [*coeffs, rhs]
         assert all(type(v) is int for v in values), g.labels
+
+
+def reference_section(g, subset):
+    """The normalized cone section without presolve: each check's rows in
+    turn, repeats across checks and opposite inequality pairs kept, only
+    rows with no positive coefficient in "<=" form dropped.  The reference
+    for `polytope._section`, which must describe the same region."""
+    vs = polytope._variables(g, subset)
+    pos = {v: i for i, v in enumerate(vs)}
+    rows = []
+    for c in range(g.n_checks):
+        idx = g.check_vars(c)
+        members = [(j, pos[v]) for j, v in enumerate(idx) if v in pos]
+        if not members:
+            continue
+        facets, eqs = polytope._cone_rows(g.labels[c], len(idx))
+        local = {}
+        for table, sense, sign in ((facets, "<=", -1), (eqs, "==", 1)):
+            for a in table:
+                coeffs = [0] * len(vs)
+                for j, i in members:
+                    coeffs[i] = sign * a[j]
+                if any(v > 0 for v in coeffs) or (sense == "==" and any(coeffs)):
+                    local[(tuple(coeffs), sense, 0)] = None
+        rows.extend(local)
+    rows.append(([1] * len(vs), "==", 1))
+    return vs, lp(len(vs), [0] * len(vs), rows)
+
+
+@functools.cache
+def section_pool():
+    """Small graphs of all four constructions and two rings, labelled with
+    spc, rep and hamming74 codes, so the sections hold repeated rows,
+    opposite pairs and equality rows."""
+    b = subcodes.builtin
+    return ([tanner.build_case_a(2, 4, 6, seed=s) for s in range(2)]
+            + [tanner.build_case_a(2, 3, 6, seed=1), tanner.build_case_a(3, 6, 8, seed=0),
+               seven_ring(), tanner.build_case_a(2, 2, 5, seed=1, require_connected=True),
+               tanner.build_case_b(2, 4, 4, b("spc4"), seed=0),
+               tanner.build_case_b(2, 3, 9, b("rep3"), seed=1),
+               tanner.build_case_b(2, 7, 7, HAMMING, seed=1),
+               tanner.build_case_c(graphs.complete(4), b("spc3")),
+               tanner.build_case_c(graphs.complete(4), b("rep3")),
+               tanner.build_case_c(graphs.prism(3), b("rep3")),
+               tanner.build_case_d(graphs.complete_bipartite(3, 2), b("rep2"), b("spc3")),
+               tanner.build_case_d(graphs.complete_bipartite(2, 3), b("rep3"), b("rep2"))])
+
+
+@st.composite
+def section_regions(draw):
+    """A pool graph and a variable set: every variable, the peeled core, or
+    a random nonempty subset."""
+    g = draw(st.sampled_from(section_pool()))
+    kind = draw(st.sampled_from(("full", "core", "subset")))
+    subset = sorted(peel_set(g)) if kind == "core" else range(g.n_vars)
+    if kind == "subset" or not subset:
+        subset = draw(st.sets(st.integers(0, g.n_vars - 1), min_size=1))
+    return g, sorted(subset)
+
+
+def vertex_set(prob):
+    try:
+        return enumerate_vertices(prob)
+    except InfeasibleRegion:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(section_regions(), st.data())
+def test_presolved_section_matches_reference_section(case, data):
+    g, subset = case
+    vs, prob = polytope._section(g, subset)
+    ref_vs, ref = reference_section(g, subset)
+    assert vs == ref_vs and prob.rows[-1] == ref.rows[-1]
+    # the presolve left no repeated row, no opposite inequality pair and
+    # no inequality on an equality row's coefficients
+    body = [(a, sense) for a, sense, _ in prob.rows[:-1]]
+    assert len(set(body)) == len(body) <= len(ref.rows) - 1
+    eqs = {a for a, sense in body if sense == "=="}
+    eqs |= {tuple(-v for v in a) for a in eqs}
+    for a, sense in body:
+        if sense == "<=":
+            assert a not in eqs and (tuple(-v for v in a), "<=") not in body
+    k = len(vs)
+    objectives = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                                    min_size=1, max_size=4))
+    got = [(r.status, r.value) for r in maximize_each(prob, objectives)]
+    assert got == [(r.status, r.value) for r in maximize_each(ref, objectives)]
+    if k <= 7:
+        assert vertex_set(prob) == vertex_set(ref), (g.labels, subset)
+
+
+def test_presolve_row_counts():
+    # a ring's two rows per check are one equality, so its section is
+    # the single point 1/7 everywhere; two hamming74 checks on the same
+    # seven variables share all 28 of their rows
+    ring = seven_ring()
+    _, prob = polytope._section(ring, range(7))
+    assert len(reference_section(ring, range(7))[1].rows) == 15
+    assert [sense for _, sense, _ in prob.rows] == ["=="] * 8
+    assert enumerate_vertices(prob) == [(F(1, 7),) * 7]
+    g = tanner.build_case_b(2, 7, 7, HAMMING, seed=1)
+    assert len(reference_section(g, range(7))[1].rows) == 57
+    assert len(polytope._section(g, range(7))[1].rows) == 29
 
 
 def test_spc_label_rows_equal_plain_closed_form():
