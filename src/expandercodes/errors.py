@@ -99,7 +99,3 @@ class SimplificationFailed(ExpanderCodesError):
 
 class SolverFailure(ExpanderCodesError):
     """A solver or one of its exact self-checks failed."""
-
-
-class InfeasibleRegion(ExpanderCodesError):
-    """Feasible region of an optimization problem is empty."""

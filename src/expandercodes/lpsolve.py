@@ -1,4 +1,4 @@
-"""Exact rational linear programming and vertex enumeration.
+"""Exact rational linear programming.
 
 The simplex is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math.
 Comp. 1968): the tableau holds Python integers over one common denominator
@@ -17,11 +17,8 @@ be <=, >= or ==.  LinearProgram entries are int or Fraction: an int is an
 exact rational already, and every other number is converted to a Fraction.
 maximize_each solves a sequence of objectives over one region, each from
 the previous optimal basis, and reads each optimum's value off the integer
-right-hand sides; lp_solve is its one-objective case.
-
-enumerate_vertices walks the basis graph of a bounded polyhedron under a
-lexicographic perturbation, which makes every pivot unique and covers every
-vertex even on degenerate polytopes.
+right-hand sides; lp_solve is its one-objective case.  Vertices are not
+enumerated here: polytope reads them off its double-description routine.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleRegion, SearchSpaceTooLarge, SolverFailure
+from .errors import SolverFailure
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -115,8 +112,7 @@ def _eliminate(row: list[int], rowr: list[int], k: int, p: int, d: int) -> list[
 
 
 class _Tableau:
-    """Condensed fraction-free simplex tableau with Bland and lexicographic
-    rules.
+    """Condensed fraction-free simplex tableau with Bland's rule.
 
     Only nonbasic columns are stored, as in the integer dictionary of Avis's
     lrs (2000): T[i] holds row i's entries in the columns of the variables
@@ -250,31 +246,6 @@ class _Tableau:
                 best.append(i)
         return best
 
-    def lex_leaving(self, j: int, lex_cols: list[int]) -> int:
-        """Leaving row for entering variable j under the lexicographic rule:
-        least rhs ratio, ties broken by the ratios of the lex_cols variables
-        in turn, then by row order.
-
-        The implied column of a variable basic in row b has ratio 0 in every
-        row but b, so it breaks a tie by dropping row b.
-        """
-        cols = self.cols
-        k = cols.index(j)
-        rows = [i for i in range(self.m) if self.T[i][k] > 0]
-        if not rows:
-            raise SolverFailure("unbounded region in vertex enumeration")
-        rows = self._least_ratios(rows, -1, k)
-        for col in lex_cols:
-            if len(rows) == 1:
-                break
-            if col in cols:
-                rows = self._least_ratios(rows, cols.index(col), k)
-            else:
-                b = self.basis.index(col)
-                if b in rows:
-                    rows.remove(b)
-        return rows[0]
-
     def solution(self) -> list[Fraction]:
         x = [F0] * self.n_orig
         for r, c in enumerate(self.basis):
@@ -349,53 +320,3 @@ def maximize_each(prob: LinearProgram, objectives):
 def lp_solve(prob: LinearProgram) -> LpResult:
     """Exact two-phase simplex with Bland's rule (deterministic, terminating)."""
     return next(maximize_each(prob, [prob.objective]))
-
-
-def enumerate_vertices(prob: LinearProgram, budget: int = 200_000) -> list[tuple[Fraction, ...]]:
-    """All vertices of the bounded region {x >= 0, rows}, exactly.
-
-    Walks the basis graph under a lexicographic perturbation (every original
-    vertex keeps at least one lex-feasible basis, and the perturbed polytope
-    is simple, so the walk is exhaustive).  The objective field is ignored.
-
-    Raises SolverFailure when the region is unbounded, SearchSpaceTooLarge
-    when the basis count exceeds the budget, and InfeasibleRegion when the
-    region is empty.
-    """
-    tb = _Tableau(prob)
-    if not tb.phase1():
-        raise InfeasibleRegion("empty feasible region")
-    ncols = tb.ncols
-    lex_cols = list(tb.basis)  # the walk-start basis, D times the identity: a valid perturbation
-
-    seen = {frozenset(tb.basis)}
-    points: dict[tuple[Fraction, ...], None] = {}
-    points[tuple(tb.solution())] = None
-    stack = [iter(range(ncols))]
-    trail: list[tuple[int, int]] = []
-    while stack:
-        it = stack[-1]
-        moved = False
-        for j in it:
-            if j in tb.basis:
-                continue
-            r = tb.lex_leaving(j, lex_cols)
-            out = tb.basis[r]
-            key = frozenset(b if i != r else j for i, b in enumerate(tb.basis))
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) > budget:
-                raise SearchSpaceTooLarge(f"vertex enumeration exceeded {budget} bases")
-            tb.pivot(r, j)
-            trail.append((r, out))
-            points[tuple(tb.solution())] = None
-            stack.append(iter(range(ncols)))
-            moved = True
-            break
-        if not moved:
-            stack.pop()
-            if trail and stack:
-                r, out = trail.pop()
-                tb.pivot(r, out)
-    return sorted(points.keys())

@@ -5,10 +5,11 @@ its closed form: in the cone, each incident coordinate is at most the sum of
 the others; in the polytope (the parity polytope), the box plus the odd-set
 inequalities, tested through the most violated odd set, found greedily.  A
 subcode label gets the facet rows of its codeword cone, and of its codeword
-hull, from one exact double-description routine; the rows are checked
-against the codewords when built and cached per label.  Membership in the
-fundamental polytope is therefore one test: the box, then each check's own
-description.
+hull, from one exact double-description routine (`_facets`); when built,
+each row is checked valid and facet-defining, the list is certified
+complete by running the routine once more on the rows, and the rows are
+cached per label.  Membership in the fundamental polytope is therefore one
+test: the box, then each check's own description.
 
 Every cone question is an LP over one region, the normalized cone section
 (`_section`): the cone points supported inside a set of variables, one LP
@@ -27,10 +28,10 @@ section; a later top set E with sum_E M_i < 1/2 is skipped unsolved, since
 every section point has mass(E) <= sum_E M_i and so a negative optimum
 2 mass(E) - 1, which cannot decide a stage.
 The Gaussian-channel minimum comes from maximizing the squared norm over
-the section on every variable, which is attained at a vertex and therefore
-found by exact vertex enumeration.  Every value, witness and discarded
-candidate rests on exact rational arithmetic; no float decides anything
-here.
+the section on every variable, which is attained at a vertex; the vertices
+are the extreme rays of the cone, which the same double-description
+routine finds by polarity.  Every value, witness and discarded candidate
+rests on exact rational arithmetic; no float decides anything here.
 """
 
 from __future__ import annotations
@@ -44,23 +45,23 @@ from numbers import Integral
 
 from .errors import (
     DomainError,
-    InfeasibleRegion,
     LengthMismatch,
     SearchSpaceTooLarge,
     SolverFailure,
     ZeroVector,
 )
-from .lpsolve import F0, F1, LinearProgram, enumerate_vertices, lp, lp_solve, maximize_each
+from .lpsolve import F0, F1, LinearProgram, lp, lp_solve, maximize_each
 
 MAX_BSC_VARS = 14
 MAX_AWGN_VARS = 64
 MAX_STOP_SIMPLE = 22
 MAX_STOP_GENERAL = 16
-# Dense parity cones explode in basis count long before they finish.  The
-# default is a ceiling, not a fast failure: on case_a(3,6,16, seed 3) the
-# guard trips after about 1.2 s of exact pivots (2-core x86-64, Python 3.11).
-# Cycle-code and small-subcode cones enumerate within a few hundred bases.
-AWGN_BASIS_BUDGET = 5_000
+# Dense parity cones explode in intermediate rays long before they finish.
+# Over the 205 soundness instances (2-core x86-64, Python 3.11): the 118
+# sections with at most 72 vertices peak at 79 rays; at 2,000 the ten
+# slowest, (3,6) cones on 16-22 variables among them, are refused within
+# 1.4 s, and every section that finishes takes at most 1.7 s.
+AWGN_RAY_BUDGET = 2_000
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,32 @@ def _integral(vec) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _facets(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+def _independent(rows, limit: int) -> list[int]:
+    """Indices of the integer rows independent of the rows before them, at
+    most `limit` of them; their count is the rank.  Fraction-free: each row
+    is reduced by the echelon rows kept so far, cross-multiplied and divided
+    by the gcd of its entries at every step, and kept if nonzero."""
+    echelon = []  # (pivot column, row)
+    chosen = []
+    for i, v in enumerate(rows):
+        if len(chosen) == limit:
+            break
+        for p, e in echelon:
+            if v[p]:
+                f, h = e[p], v[p]
+                v = [f * x - h * y for x, y in zip(v, e)]
+                c = gcd(*v)
+                if c > 1:
+                    v = [x // c for x in v]
+        p = next((k for k, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, v))
+            chosen.append(i)
+    return chosen
+
+
+def _facets(gens, budget: int | None = None) -> tuple[tuple[tuple[int, ...], ...],
+                                                       tuple[tuple[int, ...], ...]]:
     """Inequality description of the cone spanned by integer vectors `gens`.
 
     Returns (facets, equalities): the cone is {x : a.x >= 0 for each facet
@@ -165,6 +191,9 @@ def _facets(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], .
     independent generators, and let each further generator cut the dual
     rays, pairing every positive ray with every adjacent negative one
     (adjacent: no third ray is tight on every generator both are tight on).
+    SearchSpaceTooLarge as soon as more than `budget` dual rays are held.
+    By polarity the facet rows are the extreme rays of the cone
+    {x : g.x >= 0 for every generator g}, as primitive integer vectors.
 
     Every row is checked exactly by _check_rows before it is returned, so
     every row is valid and facet-defining, and the row cone contains the
@@ -181,10 +210,7 @@ def _facets(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], .
                 e[p] = -row[f]
             eqs.append(_integral(e))
     pts = [tuple(v[p] for p in pivots) for v in gens]
-    chosen = []
-    for i, p in enumerate(pts):
-        if len(chosen) < r and len(_rref([pts[j] for j in chosen] + [p], r)[1]) > len(chosen):
-            chosen.append(i)
+    chosen = _independent(pts, r)
     inv, _ = _rref([list(pts[i]) + [int(t == k) for k in range(r)]
                     for t, i in enumerate(chosen)], 2 * r)
     done = sum(1 << i for i in chosen)
@@ -195,6 +221,7 @@ def _facets(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], .
         if done >> j & 1:
             continue
         s = [_dot(a, p) for a, _ in rays]
+        kept = sum(1 for v in s if v >= 0)
         new = []
         for u in (k for k, v in enumerate(s) if v > 0):
             for w in (k for k, v in enumerate(s) if v < 0):
@@ -205,6 +232,9 @@ def _facets(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], .
                     a = _integral([s[u] * x - s[w] * y
                                    for x, y in zip(rays[w][0], rays[u][0])])
                     new.append((a, common | 1 << j))
+                    if budget is not None and kept + len(new) > budget:
+                        raise SearchSpaceTooLarge(
+                            f"double description exceeded {budget} rays")
         rays = [(a, t | (1 << j if s[k] == 0 else 0))
                 for k, (a, t) in enumerate(rays) if s[k] >= 0] + new
         done |= 1 << j
@@ -215,32 +245,54 @@ def _facets(gens) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], .
 
 def _check_rows(gens, facets, eqs, r: int) -> None:
     """Raise SolverFailure unless every generator satisfies every row and
-    each facet row is tight on generators of rank r - 1 (facet-defining)."""
+    each facet row is tight on generators of rank r - 1 (facet-defining).
+    A row positive on some generator is tight on rank at most r - 1."""
     for row in facets:
         values = [_dot(row, v) for v in gens]
         tight = [v for v, x in zip(gens, values) if x == 0]
-        if min(values) < 0 or len(_rref(tight, len(row))[1]) != r - 1:
+        if min(values) < 0 or max(values) == 0 or len(_independent(tight, r - 1)) != r - 1:
             raise SolverFailure(f"facet row {row} failed its exact check")
     if any(_dot(e, v) for e in eqs for v in gens):
         raise SolverFailure("equality row failed its exact check")
 
 
+def _certified(rows, words):
+    """The (facets, equalities) `rows` of the cone of the primitive integer
+    vectors `words`, once certified complete; SolverFailure otherwise.
+
+    The row cone contains the words' cone (_check_rows).  Its extreme rays
+    are the facet rows of the cone spanned by the rows, with both signs of
+    each equality (polarity).  When that cone is full-dimensional, the row
+    cone is pointed and so the cone of its extreme rays; when each of those
+    is a positive multiple of a word, which for primitive vectors means
+    equal to one, the row cone lies inside the words' cone.
+    """
+    facets, eqs = rows
+    rays, lineality = _facets([*facets, *eqs, *(tuple(-v for v in e) for e in eqs)])
+    if lineality or not set(rays) <= set(words):
+        raise SolverFailure("the rows cut out more than the cone of the codewords")
+    return rows
+
+
 @lru_cache
 def _cone_rows(label, d: int):
     """(facets, equalities) of the local codeword cone at a check of degree
-    d, as in _facets.  A plain parity check (label None) has the closed form:
-    each coordinate at most the sum of the others."""
+    d, as in _facets, certified complete.  A plain parity
+    check (label None) has the closed form: each coordinate at most the sum
+    of the others."""
     if label is None:
         return tuple(tuple(-1 if j == t else 1 for j in range(d)) for t in range(d)), ()
-    return _facets([tuple(int(b) for b in w) for w in label.nonzero_codewords()])
+    words = [tuple(int(b) for b in w) for w in label.nonzero_codewords()]
+    return _certified(_facets(words), words)
 
 
 @lru_cache
 def _hull_rows(label):
     """(facets, equalities) of a label's codeword hull: the cone rows of the
     homogenized codewords (1, w), so a row (b, a) reads b + a.x >= 0
-    (resp. == 0)."""
-    return _facets([(1, *(int(b) for b in w)) for w in label.codewords])
+    (resp. == 0), certified complete."""
+    words = [(1, *(int(b) for b in w)) for w in label.codewords]
+    return _certified(_facets(words), words)
 
 
 # -- validation -------------------------------------------------------------------
@@ -583,22 +635,41 @@ def min_bsc_pseudoweight(g) -> tuple[int, Pseudocodeword] | None:
 # -- exact Gaussian-channel weight minimum -------------------------------------------
 
 
+def _section_vertices(g) -> tuple[list[int], list[tuple[Fraction, ...]]]:
+    """The variables and the sorted vertices of the normalized cone section
+    over every variable; no vertex when the cone is trivial.
+
+    The vertices are the extreme rays of the cone {q >= 0, section rows},
+    scaled to mass 1.  By polarity, _facets finds those rays as the facets
+    of the cone spanned by the unit vectors, -a for each row a.q <= 0 and
+    both a and -a for each row a.q = 0; the mass row only normalizes.
+    SearchSpaceTooLarge past AWGN_RAY_BUDGET intermediate rays.
+    """
+    n = g.n_vars
+    vs, prob = _section(g, range(n))
+    gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for a, sense, _ in prob.rows[:-1]:
+        gens.append(tuple(-v for v in a))
+        if sense == "==":
+            gens.append(a)
+    rays, _ = _facets(gens, budget=AWGN_RAY_BUDGET)
+    return vs, sorted(tuple(Fraction(x, total) for x in ray)
+                      for ray in rays for total in (sum(ray),))
+
+
 def min_awgn_pseudoweight(g) -> tuple[Fraction, Pseudocodeword] | None:
     """Exact minimum Gaussian-channel weight over the fundamental cone.
 
     On the normalized cone section the weight is 1 / sum(q^2), so the minimum
     weight is attained where sum(q^2) is largest; a convex function attains
-    its maximum at a vertex, so the exact value comes from enumerating the
-    section's vertices in rational arithmetic.  Returns None when the cone is
-    trivial.  Guarded at 64 variables plus AWGN_BASIS_BUDGET bases.
+    its maximum at a vertex (_section_vertices), and the witness is the first
+    vertex of greatest squared norm in sorted order.  Returns None when the
+    cone is trivial.  Guarded at 64 variables plus AWGN_RAY_BUDGET rays.
     """
     if g.n_vars > MAX_AWGN_VARS:
         raise SearchSpaceTooLarge(f"{g.n_vars} variables exceed the guard ({MAX_AWGN_VARS})")
-    vs, prob = _section(g, range(g.n_vars))
-    try:
-        vertices = enumerate_vertices(prob, budget=AWGN_BASIS_BUDGET)
-    except InfeasibleRegion:
+    vs, vertices = _section_vertices(g)
+    if not vertices:
         return None
-    # the first vertex of greatest squared norm, in enumerate_vertices' sorted order
     best = max(vertices, key=lambda v: sum(q * q for q in v))
     return F1 / sum(q * q for q in best), _point(g, vs, best, "norm-max-vertex")

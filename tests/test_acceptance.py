@@ -17,11 +17,14 @@ from expandercodes import (
     expansion,
     gf2,
     graphs,
+    lpsolve,
     polytope,
     subcodes,
     tanner,
 )
+from expandercodes.errors import SearchSpaceTooLarge
 from expandercodes.gf2 import BitMatrix, nullspace_basis
+from test_lpsolve import InfeasibleRegion, enumerate_vertices
 
 F = Fraction
 
@@ -473,9 +476,6 @@ def test_extremal_witnesses_validate_and_respect_distance():
 
 
 def test_simplex_agrees_with_vertex_enumeration():
-    from expandercodes import lpsolve
-    from expandercodes.errors import InfeasibleRegion
-
     rng = np.random.default_rng(1729)
     statuses = Counter()
     for _ in range(500):
@@ -494,17 +494,47 @@ def test_simplex_agrees_with_vertex_enumeration():
         statuses[res.status] += 1
         if res.status == "infeasible":
             try:
-                verts = lpsolve.enumerate_vertices(prob)
+                verts = enumerate_vertices(prob)
             except InfeasibleRegion:
                 continue
             raise AssertionError(f"simplex said infeasible, found {len(verts)} vertices")
         assert res.status == "optimal"  # the box forbids unbounded
-        verts = lpsolve.enumerate_vertices(prob)
+        verts = enumerate_vertices(prob)
         best = max(sum(c * v for c, v in zip(objective, vert))
                    for vert in verts)
         assert res.value == best
     assert statuses["optimal"] >= 250
     assert statuses["infeasible"] >= 30
+
+
+def small_soundness_graphs():
+    """The soundness instances on at most 10 variables: 156 graphs."""
+    return [g for g, _ in (make() for make in soundness_instances()) if g.n_vars <= 10]
+
+
+def test_awgn_vertices_match_the_basis_walk(monkeypatch):
+    # The walk needs thousands of bases once a section has a few hundred
+    # vertices, so it runs where double description holds at most 100 rays
+    # at once (so at most 100 vertices).  The count of compared sections
+    # pins that set: a wrong ray count cannot move a section out unnoticed.
+    monkeypatch.setattr(polytope, "AWGN_RAY_BUDGET", 100)
+    compared = 0
+    for g in small_soundness_graphs():
+        try:
+            _, vertices = polytope._section_vertices(g)
+        except SearchSpaceTooLarge:
+            continue
+        _, prob = polytope._section(g, range(g.n_vars))
+        assert vertices == enumerate_vertices(prob), g.labels
+        compared += 1
+    assert compared == 113
+
+
+def test_awgn_witnesses_validate_on_small_soundness_instances():
+    for g in small_soundness_graphs():
+        weight, witness = polytope.min_awgn_pseudoweight(g)
+        assert polytope.awgn_weight(witness) == weight
+        assert polytope.validate(g, witness).valid, g.labels
 
 
 # -- 8: reports are byte-for-byte reproducible ----------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expandercodes import lpsolve
-from expandercodes.errors import InfeasibleRegion, SearchSpaceTooLarge, SolverFailure
-from expandercodes.lpsolve import _Tableau, enumerate_vertices, lp, lp_solve, maximize_each
+from expandercodes.errors import SearchSpaceTooLarge, SolverFailure
+from expandercodes.lpsolve import _Tableau, lp, lp_solve, maximize_each
 
 F = Fraction
 F0 = F(0)
@@ -164,6 +164,90 @@ class FractionTableau:
         self.ncols = self.n_struct
         self.n_art = 0
         return True
+
+
+class InfeasibleRegion(Exception):
+    """The region handed to enumerate_vertices is empty."""
+
+
+class WalkTableau(_Tableau):
+    """The integer tableau with the lexicographic ratio test of the walk."""
+
+    def lex_leaving(self, j: int, lex_cols: list[int]) -> int:
+        """Leaving row for entering variable j under the lexicographic rule:
+        least rhs ratio, ties broken by the ratios of the lex_cols variables
+        in turn, then by row order.
+
+        The implied column of a variable basic in row b has ratio 0 in every
+        row but b, so it breaks a tie by dropping row b.
+        """
+        cols = self.cols
+        k = cols.index(j)
+        rows = [i for i in range(self.m) if self.T[i][k] > 0]
+        if not rows:
+            raise SolverFailure("unbounded region in vertex enumeration")
+        rows = self._least_ratios(rows, -1, k)
+        for col in lex_cols:
+            if len(rows) == 1:
+                break
+            if col in cols:
+                rows = self._least_ratios(rows, cols.index(col), k)
+            else:
+                b = self.basis.index(col)
+                if b in rows:
+                    rows.remove(b)
+        return rows[0]
+
+
+def enumerate_vertices(prob, budget: int = 200_000, tableau=WalkTableau):
+    """All vertices of the bounded region {x >= 0, rows}, exactly, sorted:
+    the reference vertex oracle.
+
+    Walks the basis graph under a lexicographic perturbation (every original
+    vertex keeps at least one lex-feasible basis, and the perturbed polytope
+    is simple, so the walk is exhaustive).  The objective field is ignored.
+    `tableau` is WalkTableau or FractionTableau; both take the same pivots.
+
+    Raises SolverFailure when the region is unbounded, SearchSpaceTooLarge
+    when the basis count exceeds the budget, and InfeasibleRegion when the
+    region is empty.
+    """
+    tb = tableau(prob)
+    if not tb.phase1():
+        raise InfeasibleRegion("empty feasible region")
+    ncols = tb.ncols
+    lex_cols = list(tb.basis)  # the walk-start basis, D times the identity: a valid perturbation
+
+    seen = {frozenset(tb.basis)}
+    points = {tuple(tb.solution()): None}
+    stack = [iter(range(ncols))]
+    trail = []
+    while stack:
+        it = stack[-1]
+        moved = False
+        for j in it:
+            if j in tb.basis:
+                continue
+            r = tb.lex_leaving(j, lex_cols)
+            out = tb.basis[r]
+            key = frozenset(b if i != r else j for i, b in enumerate(tb.basis))
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(seen) > budget:
+                raise SearchSpaceTooLarge(f"vertex enumeration exceeded {budget} bases")
+            tb.pivot(r, j)
+            trail.append((r, out))
+            points[tuple(tb.solution())] = None
+            stack.append(iter(range(ncols)))
+            moved = True
+            break
+        if not moved:
+            stack.pop()
+            if trail and stack:
+                r, out = trail.pop()
+                tb.pivot(r, out)
+    return sorted(points)
 
 
 def run_with_tableau(tableau, solve, check=lambda tb: None):
@@ -461,8 +545,9 @@ def test_integer_tableau_takes_the_fraction_pivots(case):
 
     want = run_with_tableau(FractionTableau, solve_each)
     assert run_with_tableau(_Tableau, solve_each, condensed) == want
-    want = run_with_tableau(FractionTableau, lambda: enumerate_vertices(prob, budget=500))
-    assert run_with_tableau(_Tableau, lambda: enumerate_vertices(prob, budget=500),
+    want = run_with_tableau(FractionTableau,
+                            lambda: enumerate_vertices(prob, 500, FractionTableau))
+    assert run_with_tableau(WalkTableau, lambda: enumerate_vertices(prob, 500),
                             condensed) == want
 
 

@@ -31,14 +31,14 @@ from expandercodes import graphs, lpsolve, polytope, subcodes, tanner
 from expandercodes.errors import (
     DegreeTooLarge,
     DomainError,
-    InfeasibleRegion,
     LengthMismatch,
     SearchSpaceTooLarge,
     SolverFailure,
     ZeroVector,
 )
 from expandercodes.gf2 import BitMatrix, code_params
-from expandercodes.lpsolve import enumerate_vertices, lp, lp_solve, maximize_each
+from expandercodes.lpsolve import lp, lp_solve, maximize_each
+from test_lpsolve import InfeasibleRegion, enumerate_vertices
 
 F = Fraction
 SPC3 = subcodes.builtin("spc3")
@@ -675,16 +675,21 @@ def test_min_awgn_none_guard_and_budget(monkeypatch):
     assert polytope.min_awgn_pseudoweight(g) is None
     with pytest.raises(SearchSpaceTooLarge):
         polytope.min_awgn_pseudoweight(tanner.build_case_a(2, 4, 66, seed=0))
-    # the square's presolved section is one point, so the walk needs an
-    # instance with more vertices than the budget
-    monkeypatch.setattr(polytope, "AWGN_BASIS_BUDGET", 2)
+    # a dense (3,6) cone trips the ray budget
+    with pytest.raises(SearchSpaceTooLarge, match="rays"):
+        polytope.min_awgn_pseudoweight(tanner.build_case_a(3, 6, 16, seed=3))
+    # case_a(2,4,6, seed 0) has 11 vertices, and at most 15 rays at once
+    small = tanner.build_case_a(2, 4, 6, seed=0)
+    monkeypatch.setattr(polytope, "AWGN_RAY_BUDGET", 14)
     with pytest.raises(SearchSpaceTooLarge):
-        polytope.min_awgn_pseudoweight(tanner.build_case_a(2, 4, 6, seed=0))
+        polytope.min_awgn_pseudoweight(small)
+    monkeypatch.setattr(polytope, "AWGN_RAY_BUDGET", 15)
+    assert polytope.min_awgn_pseudoweight(small)[0] == 2
 
 
-def test_min_awgn_runs_phase_one_once(monkeypatch):
-    # one tableau per call: vertex enumeration's own phase 1 decides
-    # emptiness, so no separate feasibility solve precedes it
+def test_min_awgn_builds_no_tableau(monkeypatch):
+    # the vertices come from double description: no simplex runs, and an
+    # empty ray list alone decides a trivial cone
     built = []
 
     class Counting(lpsolve._Tableau):
@@ -695,9 +700,8 @@ def test_min_awgn_runs_phase_one_once(monkeypatch):
     monkeypatch.setattr(lpsolve, "_Tableau", Counting)
     trivial = tanner.from_parity_matrix(BitMatrix(np.array([[1]], dtype=np.uint8)))
     for g, expect_none in ((triangle(), False), (square(), False), (trivial, True)):
-        built.clear()
         assert (polytope.min_awgn_pseudoweight(g) is None) == expect_none
-        assert len(built) == 1
+    assert built == []
 
 
 def test_min_awgn_at_most_dmin():
@@ -880,6 +884,50 @@ def test_row_check_rejects_invalid_and_redundant_rows():
             polytope._check_rows(gens, [bad], [], 3)
     with pytest.raises(SolverFailure):
         polytope._check_rows(gens, [], [(1, -1, 0)], 3)
+    # a row vanishing on every generator of a lower-dimensional cone
+    with pytest.raises(SolverFailure):
+        polytope._check_rows([(1, 0, 0), (0, 1, 0)], [(0, 0, 1)], [], 2)
+
+
+def test_completeness_certificate_refuses_a_missing_row():
+    # without one of its rows the row cone is larger than the codeword
+    # cone: it has an extreme ray that is no codeword, or a lineality space
+    facets, eqs = polytope._cone_rows(HAMMING, 7)
+    words = [tuple(int(b) for b in w) for w in HAMMING.nonzero_codewords()]
+    for k in range(len(facets)):
+        with pytest.raises(SolverFailure):
+            polytope._certified((facets[:k] + facets[k + 1:], eqs), words)
+    facets, eqs = polytope._hull_rows(HAMMING)
+    words = [(1, *(int(b) for b in w)) for w in HAMMING.codewords]
+    for k in (0, len(facets) - 1):
+        with pytest.raises(SolverFailure):
+            polytope._certified((facets[:k] + facets[k + 1:], eqs), words)
+    facets, eqs = polytope._cone_rows(subcodes.builtin("rep3"), 3)
+    with pytest.raises(SolverFailure):
+        polytope._certified((facets, eqs[1:]), [(1, 1, 1)])
+    # the cone of (1, 0) is x0 >= 0 with x1 = 0; without the equality the
+    # one extreme ray is still (1, 0), but the half-plane holds a line
+    polytope._certified((((1, 0),), ((0, 1),)), [(1, 0)])
+    with pytest.raises(SolverFailure):
+        polytope._certified((((1, 0),), ()), [(1, 0)])
+
+
+def test_labels_are_certified_once(monkeypatch):
+    # the certificate runs inside the cached row builders
+    calls = []
+    certified = polytope._certified
+    monkeypatch.setattr(polytope, "_certified",
+                        lambda *args: calls.append(args) or certified(*args))
+    polytope._cone_rows.cache_clear()
+    polytope._hull_rows.cache_clear()
+    try:
+        for _ in range(2):
+            polytope._cone_rows(HAMMING, 7)
+            polytope._hull_rows(HAMMING)
+    finally:
+        polytope._cone_rows.cache_clear()
+        polytope._hull_rows.cache_clear()
+    assert len(calls) == 2
 
 
 def test_section_coefficients_are_ints():
